@@ -1,6 +1,5 @@
-"""Numeric substrate: tensors with reverse-mode autodiff, FFT, RNG."""
+"""Numeric substrate: tensors with reverse-mode autodiff, RNG."""
 
-from .fft import ComplexVector, fft, ifft, next_pow2, transform
 from .rng import Rng, derive_seed, mix64
 from .tensor import (
     Tensor,
@@ -35,8 +34,19 @@ from .tensor import (
     transpose,
 )
 
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n (1 for n < 1).
+
+    No convolution here uses it; perfbench's tracer sizes the
+    FFT-equivalent work of a convolution with it.
+    """
+    if n < 1:
+        return 1
+    return 1 << (n - 1).bit_length()
+
+
 __all__ = [
-    "ComplexVector",
     "Rng",
     "TapeNode",
     "Tensor",
@@ -48,11 +58,9 @@ __all__ = [
     "derive_seed",
     "div",
     "embedding",
-    "fft",
     "flip",
     "gelu",
     "getitem",
-    "ifft",
     "layer_norm",
     "masked_cross_entropy",
     "matmul",
@@ -69,7 +77,6 @@ __all__ = [
     "texp",
     "tlog",
     "tmean",
-    "transform",
     "transpose",
     "tsin",
     "tsqrt",

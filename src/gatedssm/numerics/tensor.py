@@ -23,10 +23,8 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf as _erf
-
-from .fft import next_pow2 as _next_pow2
-from .fft import transform as _fft_transform
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -512,33 +510,27 @@ def matmul(a, b) -> Tensor:
 # sequence convolution
 
 
-def _cconv(taps: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Causal truncation of linear convolution along the last axis.
+def _toeplitz(taps: np.ndarray) -> np.ndarray:
+    """The (L, L) upper-triangular Toeplitz matrix of the taps.
 
-    Both arguments broadcast over leading axes and share last-axis
-    length L; the result keeps only output positions 0..L-1, so
-    out[..., k] = sum_{l=0..k} taps[..., l] * sig[..., k-l]. Computed
-    by FFT with zero padding to the next power of two >= 2L, which
-    leaves no circular wrap-around inside the kept range.
+    M[i, j] = taps[j - i] for j >= i and 0 below the diagonal, so
+    ``rows @ M`` is the causal convolution of every row with the taps.
+    Row i is the length-L window of [0] * (L - 1) + taps that starts
+    L - 1 - i entries in.
     """
-    L = sig.shape[-1]
-    m = _next_pow2(2 * L)
-    lead = np.broadcast_shapes(taps.shape[:-1], sig.shape[:-1])
-    tp = np.zeros(lead + (m,), dtype=np.float64)
-    sp = np.zeros(lead + (m,), dtype=np.float64)
-    tp[..., :L] = taps
-    sp[..., :L] = sig
-    zeros = np.zeros_like(tp)
-    kr, ki = _fft_transform(tp, zeros)
-    ur, ui = _fft_transform(sp, zeros)
-    pr = kr * ur - ki * ui
-    pi = kr * ui + ki * ur
-    yr, _ = _fft_transform(pr, pi, inverse=True)
-    return yr[..., :L]
+    L = taps.shape[0]
+    padded = np.concatenate((np.zeros(L - 1), taps))
+    return np.ascontiguousarray(sliding_window_view(padded, L)[::-1])
 
 
 def causal_conv(taps, u) -> Tensor:
-    """Differentiable causal convolution of u (..., L) with taps (L,)."""
+    """Differentiable causal convolution of u (..., L) with taps (L,).
+
+    out[..., k] = sum_{l=0..k} taps[l] * u[..., k-l]. Every row of u
+    shares the taps, so the forward pass and both adjoints are single
+    GEMMs with the Toeplitz matrix of the taps. That matrix is rebuilt
+    in backward instead of being kept on the tape.
+    """
     taps, u = as_tensor(taps), as_tensor(u)
     if taps.ndim != 1:
         raise ValueError(f"taps must be 1-D, got shape {taps.data.shape}")
@@ -548,18 +540,19 @@ def causal_conv(taps, u) -> Tensor:
             f"kernel length {L} does not match sequence length "
             f"{u.data.shape[-1]}"
         )
-    data = _cconv(taps.data, u.data)
+    shape = u.data.shape
+    data = (u.data.reshape(-1, L) @ _toeplitz(taps.data)).reshape(shape)
 
     def rule(g):
-        # Both adjoints are causal correlations, which reduce to the same
-        # convolution primitive under a double flip of the last axis.
-        gflip = g[..., ::-1]
-        gu = _cconv(taps.data, gflip)[..., ::-1]
-        gtaps_rows = _cconv(u.data, gflip)[..., ::-1]
-        if gtaps_rows.ndim > 1:
-            gtaps = gtaps_rows.reshape(-1, L).sum(axis=0)
-        else:
-            gtaps = gtaps_rows
+        g = g.reshape(-1, L)
+        gu = (g @ _toeplitz(taps.data).T).reshape(shape)
+        # gtaps[l] is the sum of the l-th superdiagonal of u^T g. With the
+        # rows of that product padded to 2L - 1 entries, the window of L
+        # entries starting at flat offset 2L * i is row i from the
+        # diagonal on, so summing these windows sums each superdiagonal.
+        prod = np.zeros((L, 2 * L - 1))
+        np.matmul(u.data.reshape(-1, L).T, g, out=prod[:, :L])
+        gtaps = sliding_window_view(prod.ravel(), L)[::2 * L].sum(axis=0)
         return gtaps, gu
 
     return _record("causal_conv", data, (taps, u), rule)

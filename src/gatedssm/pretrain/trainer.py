@@ -232,6 +232,31 @@ def _batch_loss(cfg: ModelConfig, params: ModelParams, ids: np.ndarray,
     return T.masked_cross_entropy(flat, labels.reshape(-1))
 
 
+def _open_loss_csv(path: str, start_step: int):
+    """Open `loss.csv` for rows from `start_step` on.
+
+    A fresh run starts the file with its header. A resumed run keeps the
+    header and the complete rows before `start_step` and cuts the rest,
+    so the steps a stopped run got past its checkpoint are not logged
+    twice.
+    """
+    if not (start_step and os.path.exists(path)):
+        csv = open(path, "w", encoding="utf-8")
+        csv.write("step,lr,loss\n")
+        return csv
+    keep = 0
+    with open(path, "rb") as f:
+        for i, line in enumerate(f):
+            if i and (not line.endswith(b"\n")
+                      or int(line.split(b",", 1)[0]) >= start_step):
+                break
+            keep += len(line)
+    csv = open(path, "r+", encoding="utf-8")
+    csv.truncate(keep)
+    csv.seek(0, os.SEEK_END)
+    return csv
+
+
 def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
               input_ids: np.ndarray, labels: np.ndarray, out_dir: str,
               *, params: Optional[ModelParams] = None,
@@ -257,11 +282,8 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
         raise ValueError("no training sequences")
     perm_cache: dict = {}
     history: List[Tuple[int, float, float]] = []
-    csv_path = os.path.join(out_dir, LOSS_CSV_NAME)
-    mode = "a" if start_step and os.path.exists(csv_path) else "w"
-    with open(csv_path, mode, encoding="utf-8") as csv:
-        if mode == "w":
-            csv.write("step,lr,loss\n")
+    with _open_loss_csv(os.path.join(out_dir, LOSS_CSV_NAME),
+                        start_step) as csv:
         for step in range(start_step, train_cfg.steps):
             idx = _batch_indices(train_cfg.seed, step,
                                  train_cfg.batch_size, count, perm_cache)

@@ -3,7 +3,7 @@
 Each test pins one deliverable property of the package with fixed
 tolerances:
 
-* the recurrence and the FFT convolution compute the same map;
+* the recurrence and the convolution compute the same map;
 * reverse-mode gradients of the full gated model match central finite
   differences for every trainable parameter;
 * block parameter-count identities hold exactly and the full-size
@@ -65,7 +65,7 @@ def test_scan_matches_convolution_across_sizes():
     rng = Rng(101)
     worst = 0.0
     for n_state in (1, 8, 64):
-        for length in (1, 16, 128, 256):
+        for length in (1, 16, 128, 256, 2048):
             if n_state == 1:
                 system = DiscreteSsm.from_real(
                     a=rng.uniform((1,)) * 1.9 - 0.95,

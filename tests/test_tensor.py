@@ -350,16 +350,37 @@ def test_causal_conv_length_mismatch():
         nm.causal_conv(Tensor(np.zeros(4)), Tensor(np.zeros(5)))
 
 
-def test_causal_conv_gradients():
+@pytest.mark.parametrize("L", [1, 2, 12, 33])
+def test_causal_conv_gradients(L):
     rng = Rng(53)
-    taps = leaf(rng, (12,))
-    u = leaf(rng, (2, 12))
-    w = Tensor(Rng(12).normal((2, 12)))
+    taps = leaf(rng, (L,))
+    u = leaf(rng, (2, L))
+    w = Tensor(Rng(12).normal((2, L)))
 
     def f():
         return nm.tsum(nm.mul(nm.causal_conv(taps, u), w))
 
     check_grads(f, [("taps", taps), ("u", u)])
+
+
+def test_causal_conv_transposed_batch():
+    # ssm_apply convolves the (B, d, L) transposed view of a (B, L, d)
+    # activation, which is neither contiguous nor 2-D.
+    rng = Rng(54)
+    taps = leaf(rng, (7,))
+    x = leaf(rng, (2, 7, 3))
+    w = Tensor(Rng(13).normal((2, 3, 7)))
+    cols = nm.transpose(x, (0, 2, 1))
+    assert not cols.data.flags.c_contiguous
+    got = nm.causal_conv(taps, cols).data
+    np.testing.assert_allclose(got, direct_causal_conv(taps.data, cols.data),
+                               atol=1e-12)
+
+    def f():
+        cols = nm.transpose(x, (0, 2, 1))
+        return nm.tsum(nm.mul(nm.causal_conv(taps, cols), w))
+
+    check_grads(f, [("taps", taps), ("x", x)])
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,25 @@ def test_resume_is_bit_exact(tmp_path):
         assert a == b, name
 
 
+def test_resume_into_same_dir_keeps_loss_csv_identical(tmp_path):
+    # A run that got past its checkpoint before it stopped resumes into
+    # its own out dir; no step may be logged twice.
+    ids, labels = toy_data(32, seed=6)
+    cfg = toy_cfg()
+    tc = TrainConfig(steps=10, batch_size=4, peak_lr=2e-3, seed=7,
+                     checkpoint_every=5)
+    out = str(tmp_path / "run")
+    train_mlm(cfg, tc, ids, labels, out)
+    csv_path = os.path.join(out, LOSS_CSV_NAME)
+    full = open(csv_path, "rb").read()
+
+    params, optimizer, meta = load_run_checkpoint(
+        os.path.join(out, "checkpoint-step-5"))
+    train_mlm(cfg, tc, ids, labels, out, params=params,
+              optimizer=optimizer, start_step=meta["step"])
+    assert open(csv_path, "rb").read() == full
+
+
 def test_nonfinite_loss_aborts_and_keeps_checkpoint(tmp_path):
     ids, labels = toy_data(16, seed=8)
     cfg = toy_cfg(dropout=0.0)
