@@ -1,6 +1,110 @@
-"""next_pow2, the power-of-two sizing helper kept in gatedssm.numerics."""
+"""FFT tests against a direct O(n^2) DFT oracle."""
 
-from gatedssm.numerics import next_pow2
+import numpy as np
+import pytest
+
+from gatedssm.numerics import ComplexVector, Rng, fft, ifft, next_pow2, transform
+
+
+def dft_oracle(re, im, inverse=False):
+    """Direct summation DFT, written independently of the FFT code."""
+    n = len(re)
+    sign = 1.0 if inverse else -1.0
+    out_re = np.zeros(n)
+    out_im = np.zeros(n)
+    for k in range(n):
+        for j in range(n):
+            ang = sign * 2.0 * np.pi * j * k / n
+            c, s = np.cos(ang), np.sin(ang)
+            out_re[k] += re[j] * c - im[j] * s
+            out_im[k] += re[j] * s + im[j] * c
+    if inverse:
+        out_re /= n
+        out_im /= n
+    return out_re, out_im
+
+
+def test_zeros_transform_to_zeros():
+    v = fft(ComplexVector(np.zeros(8), np.zeros(8)))
+    assert np.all(v.re == 0) and np.all(v.im == 0)
+
+
+def test_impulse_transforms_to_ones():
+    v = fft(ComplexVector(np.array([1.0, 0, 0, 0]), np.zeros(4)))
+    np.testing.assert_allclose(v.re, np.ones(4), atol=1e-15)
+    np.testing.assert_allclose(v.im, np.zeros(4), atol=1e-15)
+
+
+def test_length_one_is_identity():
+    v = fft(ComplexVector(np.array([3.5]), np.array([-1.0])))
+    assert v.re[0] == 3.5 and v.im[0] == -1.0
+
+
+def test_matches_dft_oracle_length_16():
+    rng = Rng(123)
+    re = rng.normal((16,))
+    im = rng.normal((16,))
+    got = fft(ComplexVector(re, im))
+    want_re, want_im = dft_oracle(re, im)
+    np.testing.assert_allclose(got.re, want_re, atol=1e-10)
+    np.testing.assert_allclose(got.im, want_im, atol=1e-10)
+
+
+def test_inverse_matches_dft_oracle():
+    rng = Rng(321)
+    re = rng.normal((8,))
+    im = rng.normal((8,))
+    got = ifft(ComplexVector(re, im))
+    want_re, want_im = dft_oracle(re, im, inverse=True)
+    np.testing.assert_allclose(got.re, want_re, atol=1e-12)
+    np.testing.assert_allclose(got.im, want_im, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64, 256, 1024, 4096])
+def test_roundtrip_all_pow2_lengths(n):
+    rng = Rng(n)
+    re = rng.normal((n,))
+    im = rng.normal((n,))
+    back = ifft(fft(ComplexVector(re, im)))
+    np.testing.assert_allclose(back.re, re, atol=1e-10)
+    np.testing.assert_allclose(back.im, im, atol=1e-10)
+
+
+def test_non_power_of_two_rejected():
+    with pytest.raises(ValueError, match="power of two"):
+        fft(ComplexVector(np.zeros(12), np.zeros(12)))
+
+
+def test_batched_transform_matches_per_row():
+    rng = Rng(55)
+    x = rng.normal((5, 32))
+    re_b, im_b = transform(x, np.zeros_like(x))
+    for i in range(5):
+        v = fft(ComplexVector(x[i], np.zeros(32)))
+        np.testing.assert_allclose(re_b[i], v.re, atol=1e-12)
+        np.testing.assert_allclose(im_b[i], v.im, atol=1e-12)
+
+
+def test_fft_convolution_matches_direct_convolution():
+    # Circular convolution via FFT of zero-padded real vectors equals
+    # the direct O(n^2) sum.
+    rng = Rng(77)
+    a = rng.normal((20,))
+    b = rng.normal((20,))
+    m = next_pow2(2 * 20)
+    ap = np.zeros(m)
+    bp = np.zeros(m)
+    ap[:20], bp[:20] = a, b
+    fa = fft(ComplexVector(ap, np.zeros(m)))
+    fb = fft(ComplexVector(bp, np.zeros(m)))
+    prod = ComplexVector(fa.re * fb.re - fa.im * fb.im,
+                         fa.re * fb.im + fa.im * fb.re)
+    conv = ifft(prod).re[:39]
+    want = np.zeros(39)
+    for i in range(20):
+        for j in range(20):
+            want[i + j] += a[i] * b[j]
+    np.testing.assert_allclose(conv, want, atol=1e-9)
 
 
 def test_next_pow2():
