@@ -18,7 +18,7 @@ are replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -200,47 +200,17 @@ class ModelParams:
                 yield name, t
 
 
-_SSM_FIELDS = ("log_neg_re", "im", "b_re", "b_im", "c_re", "c_im",
-               "log_dt", "d")
-
-
-def _named_ssm_params(p: S.SsmParams) -> Iterator[Tuple[str, Tensor]]:
-    for f in _SSM_FIELDS:
-        yield f, getattr(p, f)
-
-
-def _named_attn_params(p: AttentionParams) -> Iterator[Tuple[str, Tensor]]:
-    for f in ("w_q", "w_k", "w_v", "w_out", "b_q", "b_k", "b_v", "b_out"):
-        t = getattr(p, f)
-        if t is not None:
-            yield f, t
-
-
 def _named_block_params(blk) -> Iterator[Tuple[str, Tensor]]:
-    if isinstance(blk, GatedBlockParams):
-        simple = ("ln_gain", "ln_bias", "w_v", "w_f", "w_b", "w_u1",
-                  "w_u2", "w_u", "w_o", "b_v", "b_f", "b_b", "b_u1",
-                  "b_u2", "b_u", "b_o")
-        nested = ("ssm_fwd", "ssm_bwd", "attn_fwd", "attn_bwd")
-    elif isinstance(blk, StackedBlockParams):
-        simple = ("ln1_gain", "ln1_bias", "ln2_gain", "ln2_bias",
-                  "w_ffn1", "w_ffn2", "proj_fwd", "proj_bwd",
-                  "b_proj_fwd", "b_proj_bwd", "b_ffn1", "b_ffn2")
-        nested = ("attn", "ssm_fwd", "ssm_bwd")
-    else:
-        raise TypeError(f"unknown block type {type(blk).__name__}")
-    for f in simple:
-        t = getattr(blk, f)
-        if t is not None:
-            yield f, t
-    for f in nested:
-        sub = getattr(blk, f)
-        if sub is None:
-            continue
-        it = (_named_ssm_params(sub) if isinstance(sub, S.SsmParams)
-              else _named_attn_params(sub))
-        for name, t in it:
-            yield f"{f}.{name}", t
+    """Tensor fields of a parameter dataclass in declaration order, None
+    skipped, then those of its nested dataclass fields, recursively."""
+    values = [(f.name, getattr(blk, f.name)) for f in fields(blk)]
+    for name, value in values:
+        if isinstance(value, Tensor):
+            yield name, value
+    for name, value in values:
+        if is_dataclass(value):
+            for sub, t in _named_block_params(value):
+                yield f"{name}.{sub}", t
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +445,19 @@ def stacked_block(x, p: StackedBlockParams, routing: str, *,
 
 
 def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                *, train: bool = False, rng: Optional[Rng] = None) -> Tensor:
+                *, train: bool = False, rng: Optional[Rng] = None,
+                rows: Optional[np.ndarray] = None) -> Tensor:
     """Token ids (L,) or (batch, L) to prediction logits (..., L, vocab).
+
+    With `rows`, integer indices into the flattened (batch * L)
+    positions, the prediction head runs on those positions alone and the
+    result is (len(rows), vocab): row i holds the logits of position
+    rows[i]. Masked-LM training labels about 15% of positions, so this
+    skips most of the vocabulary-wide output projection.
 
     Dropout fires only with train=True, drawing masks from `rng` in a
     fixed order so a given (parameters, rng state) pair is replayable.
+    The head has no dropout, so `rows` leaves the draws unchanged.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2):
@@ -502,6 +480,8 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
         else:
             h = stacked_block(h, blk, cfg.routing, n_heads=cfg.n_heads,
                               dropout_p=p_drop, rng=rng, train=train)
+    if rows is not None:
+        h = T.embedding(T.reshape(h, (-1, cfg.d_model)), rows)
     head = T.layer_norm(
         T.gelu(_linear(h, emb.head_transform, emb.head_transform_bias)),
         emb.head_ln_gain, emb.head_ln_bias)

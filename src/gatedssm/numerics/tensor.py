@@ -419,13 +419,18 @@ def flip(a, axis: int) -> Tensor:
 
 
 def getitem(a, key) -> Tensor:
-    """Basic slicing only; integer-array lookup goes through embedding()."""
+    """Differentiable ``a[key]`` for any numpy key.
+
+    The backward rule accumulates with ``np.add.at``, so an entry picked
+    more than once by an integer-array key gets every contribution.
+    Row lookups by id are faster through embedding().
+    """
     a = as_tensor(a)
     data = a.data[key]
 
     def rule(g):
         gx = np.zeros_like(a.data)
-        gx[key] += g
+        np.add.at(gx, key, g)
         return (gx,)
 
     return _record("getitem", data, (a,), rule)
@@ -567,34 +572,46 @@ def masked_cross_entropy(logits, labels: np.ndarray) -> Tensor:
 
     logits: (rows, n_classes); labels: (rows,) integer ids with -1
     marking rows that do not contribute. Softmax is computed in a
-    numerically stable shifted form.
+    numerically stable shifted form. The forward pass keeps one
+    (labeled rows, n_classes) buffer of shifted exponentials, which the
+    backward rule normalizes into the softmax instead of recomputing it.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-D, got {logits.data.shape}")
-    if labels.shape != (logits.data.shape[0],):
+    n_rows = logits.data.shape[0]
+    if labels.shape != (n_rows,):
         raise ValueError(
             f"labels shape {labels.shape} does not match logits rows "
-            f"{logits.data.shape[0]}"
+            f"{n_rows}"
         )
     sel = np.nonzero(labels >= 0)[0]
     if sel.size == 0:
         raise ValueError("masked_cross_entropy: no labeled positions")
+    every_row = sel.size == n_rows
     tgt = labels[sel]
     if tgt.max() >= logits.data.shape[1]:
         raise ValueError("label id out of vocabulary range")
-    z = logits.data[sel]
-    z = z - z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
-    data = np.array(-logp[np.arange(sel.size), tgt].mean())
+    picked = np.arange(sel.size)
+    if every_row:
+        z = logits.data - logits.data.max(axis=1, keepdims=True)
+    else:
+        z = logits.data[sel]
+        z -= z.max(axis=1, keepdims=True)
+    z_tgt = z[picked, tgt]
+    e = np.exp(z, out=z)
+    total = e.sum(axis=1)
+    data = np.array(-(z_tgt - np.log(total)).mean())
 
     def rule(g):
+        scale = float(g) / sel.size
+        p = e * (scale / total)[:, None]
+        p[picked, tgt] -= scale
+        if every_row:
+            return (p,)
         gl = np.zeros_like(logits.data)
-        p = np.exp(logp)
-        p[np.arange(sel.size), tgt] -= 1.0
-        gl[sel] = p * (float(g) / sel.size)
+        gl[sel] = p
         return (gl,)
 
     return _record("masked_cross_entropy", data, (logits,), rule)

@@ -2,7 +2,7 @@
 training loop, and length extension."""
 
 from .corpus import generate_corpus, generate_documents
-from .masking import IGNORE_LABEL, MaskedBatch, mask_tokens
+from .masking import IGNORE_LABEL, mask_tokens
 from .optim import (
     SCHEDULES,
     AdamW,
@@ -39,7 +39,7 @@ from .vocab import (
 
 __all__ = [
     "AdamW", "CLS", "FINAL_CHECKPOINT", "IGNORE_LABEL", "LOSS_CSV_NAME",
-    "MASK", "MaskedBatch", "N_SPECIAL",
+    "MASK", "N_SPECIAL",
     "PAD", "SCHEDULES", "SEP", "SPECIAL_TOKENS", "TrainConfig", "UNK",
     "Vocab", "build_vocab", "chunk_corpus", "constant_lr",
     "continue_pretrain", "cosine_warmup_lr", "eval_mlm",

@@ -2,35 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..numerics import Rng
 from .vocab import MASK, N_SPECIAL
 
 IGNORE_LABEL = -1
-
-
-@dataclass
-class MaskedBatch:
-    """Masked inputs with prediction labels.
-
-    `labels` holds the original id exactly where a position was selected
-    for prediction and -1 elsewhere. `attention_mask` is True at real
-    (non-PAD) tokens; the toy models here ignore it, but it is derived
-    and carried so consumers can pad-mask if they choose.
-    """
-
-    input_ids: np.ndarray
-    labels: np.ndarray
-    attention_mask: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, input_ids: np.ndarray,
-                    labels: np.ndarray) -> "MaskedBatch":
-        return cls(input_ids=input_ids, labels=labels,
-                   attention_mask=input_ids != 0)
 
 
 def mask_tokens(ids: np.ndarray, mask_rate: float, rng: Rng,

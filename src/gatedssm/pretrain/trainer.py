@@ -226,10 +226,10 @@ def load_run_checkpoint(directory: str):
 def _batch_loss(cfg: ModelConfig, params: ModelParams, ids: np.ndarray,
                 labels: np.ndarray, *, train: bool,
                 rng: Optional[Rng]) -> T.Tensor:
-    logits = forward_mlm(ids, cfg, params, train=train, rng=rng)
-    n_rows = int(np.prod(labels.shape))
-    flat = T.reshape(logits, (n_rows, cfg.vocab_size))
-    return T.masked_cross_entropy(flat, labels.reshape(-1))
+    labels = labels.reshape(-1)
+    rows = np.nonzero(labels >= 0)[0]
+    logits = forward_mlm(ids, cfg, params, train=train, rng=rng, rows=rows)
+    return T.masked_cross_entropy(logits, labels[rows])
 
 
 def _open_loss_csv(path: str, start_step: int):

@@ -112,22 +112,6 @@ class Kernel:
             )
 
 
-def hippo_matrix(n: int) -> np.ndarray:
-    """Dense reference transition matrix with long-memory structure.
-
-    entries[i, k] = -sqrt(2i+1)*sqrt(2k+1) below the diagonal, -(i+1)
-    on it, 0 above. Provided as a tested reference object; the trained
-    models use the diagonal parameterization instead.
-    """
-    if n <= 0:
-        raise ValueError(f"hippo_matrix needs n >= 1, got {n}")
-    i = np.arange(n, dtype=np.float64)
-    root = np.sqrt(2.0 * i + 1.0)
-    a = np.tril(np.outer(root, root), k=-1)
-    a += np.diag(i + 1.0)
-    return -a
-
-
 def init_s4d(n_state: int, dt_min: float = DT_MIN_DEFAULT,
              dt_max: float = DT_MAX_DEFAULT, rng: Rng | None = None, *,
              trainable_b: bool = False, trainable_im: bool = True) -> SsmParams:

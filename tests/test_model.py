@@ -449,6 +449,41 @@ def test_forward_mlm_all_four_variants_run():
             assert np.all(np.isfinite(logits.data))
 
 
+@pytest.mark.parametrize("arch,routing", [
+    ("gated", "ssm"), ("gated", "attention"),
+    ("stacked", "ssm"), ("stacked", "attention")])
+def test_forward_mlm_rows_match_full_logits(arch, routing):
+    cfg = toy_config(arch=arch, routing=routing, n_layers=1, n_heads=2,
+                     use_bias=True)
+    params = init_model(cfg, Rng(64))
+    for shape, rows in (((6,), [5, 0, 3, 3]),
+                        ((3, 6), [17, 0, 7, 7, 12])):
+        tokens = Rng(65).integers(0, cfg.vocab_size, shape)
+        rows = np.array(rows)
+        with no_grad():
+            full = forward_mlm(tokens, cfg, params).data
+            got = forward_mlm(tokens, cfg, params, rows=rows).data
+        assert got.shape == (len(rows), cfg.vocab_size)
+        np.testing.assert_allclose(
+            got, full.reshape(-1, cfg.vocab_size)[rows], rtol=0, atol=1e-12)
+
+
+def test_forward_mlm_rows_gradients():
+    cfg = toy_config(n_layers=1, d_model=4, n_state=2, vocab_size=11,
+                     use_bias=True)
+    params = init_model(cfg, Rng(66))
+    tokens = np.array([[1, 4, 7, 2], [9, 3, 3, 6]])
+    rows = np.array([0, 2, 5, 7])
+    labels = np.array([3, 5, 10, 0])
+
+    def f():
+        logits = forward_mlm(tokens, cfg, params, rows=rows)
+        return T.masked_cross_entropy(logits, labels)
+
+    names = [(n, t) for n, t in params.trainable_parameters()]
+    check_grads(f, names, tol=2e-4)
+
+
 def test_forward_mlm_longer_than_max_len_without_positions():
     cfg = toy_config(n_layers=1, max_len=8)
     params = init_model(cfg, Rng(46))
@@ -562,3 +597,32 @@ def test_named_parameters_stable_order():
     n2 = [n for n, _ in p2.named_parameters()]
     assert n1 == n2
     assert len(n1) == len(set(n1))
+
+
+def test_named_parameters_pinned_order():
+    # Checkpoints and AdamW state are keyed by these names, in this order.
+    gated = init_model(toy_config(n_layers=1, use_bias=True), Rng(57))
+    ssm = ["log_neg_re", "im", "b_re", "b_im", "c_re", "c_im", "log_dt",
+           "d"]
+    want = (
+        ["embeddings.token_table", "embeddings.head_transform",
+         "embeddings.head_transform_bias", "embeddings.head_ln_gain",
+         "embeddings.head_ln_bias", "embeddings.head_output_bias"]
+        + ["blocks.0." + n for n in (
+            "ln_gain", "ln_bias", "w_v", "w_f", "w_b", "w_u1", "w_u2",
+            "w_u", "w_o", "b_v", "b_f", "b_b", "b_u1", "b_u2", "b_u",
+            "b_o")]
+        + ["blocks.0.ssm_fwd." + n for n in ssm]
+        + ["blocks.0.ssm_bwd." + n for n in ssm])
+    assert [n for n, _ in gated.named_parameters()] == want
+    stacked = init_model(toy_config(arch="stacked", routing="attention",
+                                    n_layers=1), Rng(58))
+    want = [
+        "embeddings.token_table", "embeddings.position_table",
+        "embeddings.head_transform", "embeddings.head_ln_gain",
+        "embeddings.head_ln_bias", "blocks.0.ln1_gain", "blocks.0.ln1_bias",
+        "blocks.0.ln2_gain", "blocks.0.ln2_bias", "blocks.0.w_ffn1",
+        "blocks.0.w_ffn2", "blocks.0.attn.w_q", "blocks.0.attn.w_k",
+        "blocks.0.attn.w_v", "blocks.0.attn.w_out",
+    ]
+    assert [n for n, _ in stacked.named_parameters()] == want

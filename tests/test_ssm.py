@@ -12,7 +12,6 @@ from gatedssm.ssm import (
     SsmParams,
     convolve,
     discretize,
-    hippo_matrix,
     init_s4d,
     materialize_kernel,
     scan,
@@ -33,41 +32,6 @@ def random_params(rng: Rng, n: int) -> SsmParams:
                       requires_grad=True),
         d=Tensor(rng.normal(), requires_grad=True),
     )
-
-
-# ---------------------------------------------------------------------------
-# hippo matrix
-
-
-def test_hippo_small_cases():
-    np.testing.assert_allclose(hippo_matrix(1), [[-1.0]])
-    np.testing.assert_allclose(
-        hippo_matrix(2), [[-1.0, 0.0], [-np.sqrt(3.0), -2.0]]
-    )
-
-
-def test_hippo_matches_independent_formula():
-    # Second, scalar-by-scalar evaluation of the piecewise definition.
-    got = hippo_matrix(4)
-    for n in range(4):
-        for k in range(4):
-            if n > k:
-                want = -np.sqrt((2 * n + 1) * (2 * k + 1))
-            elif n == k:
-                want = -(n + 1.0)
-            else:
-                want = 0.0
-            assert got[n, k] == pytest.approx(want, abs=1e-14)
-
-
-def test_hippo_strictly_lower_triangular_zeros():
-    a = hippo_matrix(6)
-    assert np.all(a[np.triu_indices(6, k=1)] == 0.0)
-
-
-def test_hippo_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        hippo_matrix(0)
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,19 @@ def test_getitem_gradient():
     check_grads(f, [("x", x)])
 
 
+def test_getitem_repeated_indices_accumulate():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    backward(nm.tsum(x[np.array([0, 0, 2])]))
+    np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0, 0.0])
+    w = Tensor(Rng(12).normal((3, 4)))
+    y = leaf(Rng(24), (5, 4))
+
+    def f():
+        return nm.tsum(nm.mul(y[np.array([4, 1, 4])], w))
+
+    check_grads(f, [("y", y)])
+
+
 def test_softmax_gradient():
     rng = Rng(29)
     x = leaf(rng, (3, 7))
@@ -433,6 +446,28 @@ def test_masked_cross_entropy_gradient():
     logits.zero_grad()
     backward(f())
     np.testing.assert_array_equal(logits.grad[2], np.zeros(7))
+
+
+def test_masked_cross_entropy_every_row_labeled():
+    # Without unlabeled rows the rule returns its softmax buffer directly;
+    # it must match the same rows embedded among unlabeled ones.
+    rng = Rng(64)
+    logits = leaf(rng, (4, 9))
+    labels = np.array([8, 0, 3, 3])
+
+    def f():
+        return nm.masked_cross_entropy(logits, labels)
+
+    check_grads(f, [("logits", logits)])
+    padded = Tensor(np.concatenate([logits.data, rng.normal((2, 9))]),
+                    requires_grad=True)
+    loss = nm.masked_cross_entropy(padded, np.concatenate([labels, [-1, -1]]))
+    assert float(loss.data) == float(f().data)
+    logits.zero_grad()
+    backward(f())
+    backward(loss)
+    np.testing.assert_allclose(padded.grad[:4], logits.grad, rtol=1e-14,
+                               atol=1e-17)
 
 
 def test_masked_cross_entropy_requires_labels():

@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
-from gatedssm.model import ModelConfig, init_model
-from gatedssm.numerics import Rng, derive_seed
+import gatedssm.numerics.tensor as T
+import gatedssm.pretrain.trainer as trainer
+from gatedssm.model import ModelConfig, forward_mlm, init_model
+from gatedssm.numerics import Rng, backward, derive_seed
 from gatedssm.pretrain import (
     FINAL_CHECKPOINT,
     LOSS_CSV_NAME,
@@ -25,7 +27,7 @@ from gatedssm.pretrain import (
     prepare_shards,
     train_mlm,
 )
-from gatedssm.pretrain.trainer import _batch_indices
+from gatedssm.pretrain.trainer import _batch_indices, _batch_loss
 
 VOCAB = 60
 
@@ -261,6 +263,67 @@ def test_eval_uniform_baseline_and_validation():
     assert ppl == pytest.approx(VOCAB, rel=0.10)
     with pytest.raises(ValueError, match="no labeled"):
         eval_mlm(cfg, params, ids, np.full_like(labels, -1))
+
+
+def full_logits_loss(cfg, params, ids, labels, *, train, rng):
+    """The head on every position, then the masked loss: the oracle for
+    `_batch_loss`, which runs the head on labeled positions only."""
+    logits = forward_mlm(ids, cfg, params, train=train, rng=rng)
+    flat = T.reshape(logits, (labels.size, cfg.vocab_size))
+    return T.masked_cross_entropy(flat, labels.reshape(-1))
+
+
+def loss_and_grads(loss_fn, cfg, params, ids, labels):
+    for _, t in params.trainable_parameters():
+        t.zero_grad()
+    loss = loss_fn(cfg, params, ids, labels, train=True, rng=Rng(12))
+    backward(loss)
+    return float(loss.data), {n: t.grad.copy()
+                              for n, t in params.trainable_parameters()}
+
+
+@pytest.mark.parametrize("arch,routing", [
+    ("gated", "ssm"), ("gated", "attention"),
+    ("stacked", "ssm"), ("stacked", "attention")])
+def test_batch_loss_matches_full_logits(arch, routing):
+    cfg = toy_cfg(arch=arch, routing=routing, n_heads=2, use_bias=True)
+    params = init_model(cfg, Rng(21))
+    ids, labels = toy_data(4, seed=12)
+    want, want_grads = loss_and_grads(full_logits_loss, cfg, params, ids,
+                                      labels)
+    got, got_grads = loss_and_grads(_batch_loss, cfg, params, ids, labels)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for name, g in want_grads.items():
+        err = np.max(np.abs(got_grads[name] - g))
+        assert err <= 1e-12 * np.max(np.abs(g)), (name, err)
+
+
+def test_batch_loss_without_labels_raises():
+    cfg = toy_cfg()
+    params = init_model(cfg, Rng(22))
+    ids, labels = toy_data(2, seed=13)
+    with pytest.raises(ValueError, match="no labeled positions"):
+        _batch_loss(cfg, params, ids, np.full_like(labels, -1),
+                    train=False, rng=None)
+
+
+def test_one_forward_per_batch(tmp_path, monkeypatch):
+    # Profilers wrap `trainer.forward_mlm` and divide by its call count.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward_mlm(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward_mlm", counted)
+    cfg = toy_cfg()
+    ids, labels = toy_data(12, seed=14)
+    tc = TrainConfig(steps=3, batch_size=4, seed=3)
+    train_mlm(cfg, tc, ids, labels, str(tmp_path / "run"))
+    assert len(calls) == 3
+    params = init_model(cfg, Rng(23))
+    eval_mlm(cfg, params, ids, labels, batch_size=4)
+    assert len(calls) == 6
 
 
 def test_train_config_validation():
