@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -514,27 +514,101 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # sequence convolution
 
+CONV_BLOCK = 256
 
-def _toeplitz(taps: np.ndarray) -> np.ndarray:
-    """The (L, L) upper-triangular Toeplitz matrix of the taps.
 
-    M[i, j] = taps[j - i] for j >= i and 0 below the diagonal, so
-    ``rows @ M`` is the causal convolution of every row with the taps.
-    Row i is the length-L window of [0] * (L - 1) + taps that starts
-    L - 1 - i entries in.
+def _block_shape(L: int) -> tuple:
+    """(block count, block size) for a convolution of length L.
+
+    Blocks of CONV_BLOCK are used when their nb(nb+1)/2 block products
+    come to at most 4/5 of the L^2 multiply-adds of one (L, L) product;
+    at R=128 rows they were about as fast as that product at 4/5 and
+    slower above it. Otherwise the whole matrix is one block. Below
+    CONV_BLOCK that is always the case.
+    """
+    nb = -(-L // CONV_BLOCK)
+    if 5 * nb * (nb + 1) * CONV_BLOCK ** 2 <= 8 * L * L:
+        return nb, CONV_BLOCK
+    return 1, L
+
+
+def _windows(x: np.ndarray, count: int, width: int, step: int) -> np.ndarray:
+    """Read-only view of count windows of width entries of the 1-D x,
+    window i starting at entry i * step; they must lie inside x.
+
+    The view is built directly rather than by ``sliding_window_view``,
+    whose checks cost more than a small convolution's GEMMs.
+    """
+    assert (count - 1) * step + width <= x.shape[0]
+    s = x.strides[0]
+    return as_strided(x, (count, width), (step * s, s), writeable=False)
+
+
+def _toeplitz_blocks(taps: np.ndarray, nb: int, b: int) -> np.ndarray:
+    """The nb distinct (b, b) blocks of the causal Toeplitz matrix.
+
+    D[k][p, q] = taps[k*b + q - p], and 0 where that lag is negative or
+    at least L. Block row i, column j of the full upper-triangular
+    Toeplitz matrix is D[j - i] for j >= i and zero below. Row p of D[k]
+    is the length-b window of [0] * (b - 1) + taps + [0] * (nb*b - L)
+    that starts k*b + b - 1 - p entries in. With nb = 1 this is the
+    (L, L) matrix itself.
     """
     L = taps.shape[0]
-    padded = np.concatenate((np.zeros(L - 1), taps))
-    return np.ascontiguousarray(sliding_window_view(padded, L)[::-1])
+    padded = np.concatenate((np.zeros(b - 1), taps, np.zeros(nb * b - L)))
+    windows = _windows(padded, nb * b, b, 1).reshape(nb, b, b)
+    return np.ascontiguousarray(windows[:, ::-1])
+
+
+def _to_blocks(x: np.ndarray, nb: int, b: int) -> np.ndarray:
+    """x (..., L) as a contiguous block-major (nb * rows, b) array.
+
+    Row k*rows + r holds entries k*b .. k*b + b - 1 of row r, with the
+    tail past L zero-filled.
+    """
+    lead, L = x.shape[:-1], x.shape[-1]
+    if nb * b > L:
+        x = np.concatenate((x, np.zeros(lead + (nb * b - L,))), axis=-1)
+    n = len(lead)
+    blocks = x.reshape(lead + (nb, b)).transpose((n, *range(n), n + 1))
+    return np.ascontiguousarray(blocks).reshape(-1, b)
+
+
+def _from_blocks(y: np.ndarray, shape: tuple) -> np.ndarray:
+    """Inverse of ``_to_blocks``: (nb * rows, b) back to ``shape``."""
+    lead, L = shape[:-1], shape[-1]
+    n, b = len(lead), y.shape[-1]
+    rows = y.reshape((-1,) + lead + (b,))
+    rows = rows.transpose((*range(1, n + 1), 0, n + 1))
+    return rows.reshape(lead + (-1,))[..., :L]
+
+
+def _block_conv(taps: np.ndarray, x: np.ndarray, nb: int, b: int):
+    """Block-major causal convolution of x (..., L): (nb * rows, b)."""
+    blocks = _toeplitz_blocks(taps, nb, b)
+    xb = _to_blocks(x, nb, b)
+    rows = xb.shape[0] // nb
+    out = np.matmul(xb, blocks[0])
+    for k in range(1, nb):
+        out[k * rows:] += np.matmul(xb[:(nb - k) * rows], blocks[k])
+    return out
 
 
 def causal_conv(taps, u) -> Tensor:
     """Differentiable causal convolution of u (..., L) with taps (L,).
 
     out[..., k] = sum_{l=0..k} taps[l] * u[..., k-l]. Every row of u
-    shares the taps, so the forward pass and both adjoints are single
-    GEMMs with the Toeplitz matrix of the taps. That matrix is rebuilt
-    in backward instead of being kept on the tape.
+    shares the taps, so the convolution is a product with the
+    upper-triangular Toeplitz matrix of the taps. The sequence is cut
+    into nb blocks of b (``_block_shape``) and zero-padded at the tail;
+    the matrix then has nb distinct (b, b) blocks D[k], and with the
+    rows laid out block-major each block offset k is one GEMM:
+    out[k:] += U[:nb-k] @ D[k] forward, gu[:nb-k] += G[k:] @ D[k].T for
+    the input, and U[:nb-k].T @ G[k:] for the taps. That runs
+    nb(nb+1)/2 of the nb^2 block products and stores nb*b^2 floats of
+    blocks instead of L^2. With nb = 1 the single block is the whole
+    (L, L) matrix. The blocks and the block-major u are rebuilt in
+    backward instead of being kept on the tape.
     """
     taps, u = as_tensor(taps), as_tensor(u)
     if taps.ndim != 1:
@@ -546,19 +620,38 @@ def causal_conv(taps, u) -> Tensor:
             f"{u.data.shape[-1]}"
         )
     shape = u.data.shape
-    data = (u.data.reshape(-1, L) @ _toeplitz(taps.data)).reshape(shape)
+    nb, b = _block_shape(L)
+    data = _from_blocks(_block_conv(taps.data, u.data, nb, b), shape)
 
     def rule(g):
-        g = g.reshape(-1, L)
-        gu = (g @ _toeplitz(taps.data).T).reshape(shape)
-        # gtaps[l] is the sum of the l-th superdiagonal of u^T g. With the
-        # rows of that product padded to 2L - 1 entries, the window of L
-        # entries starting at flat offset 2L * i is row i from the
-        # diagonal on, so summing these windows sums each superdiagonal.
-        prod = np.zeros((L, 2 * L - 1))
-        np.matmul(u.data.reshape(-1, L).T, g, out=prod[:, :L])
-        gtaps = sliding_window_view(prod.ravel(), L)[::2 * L].sum(axis=0)
-        return gtaps, gu
+        gb = _to_blocks(g, nb, b)
+        rows = gb.shape[0] // nb
+        blocks = _toeplitz_blocks(taps.data, nb, b)
+        gu = np.matmul(gb, blocks[0].T)
+        for k in range(1, nb):
+            gu[:(nb - k) * rows] += np.matmul(gb[k * rows:], blocks[k].T)
+        # The blocks go before the tap gradient allocates its buffer, so
+        # the two never coexist.
+        del blocks
+        ub = _to_blocks(u.data, nb, b)
+        # gtaps[k*b + d] sums diagonal d of P_k = U[:nb-k].T @ G[k:],
+        # for d in (-b, b). P_k sits in the last b columns of rows of
+        # 2b - 1 entries, with one spare row of zeros below. The window
+        # of 2b - 1 entries starting at flat offset 2b * p then holds
+        # diagonals -(b-1) .. b-1 of row p in order (the entries past
+        # the row end fall in the next row's zero padding), so summing
+        # these windows sums every diagonal. Block 0 has no negative
+        # lags, so its windows start at the diagonal.
+        gtaps = np.zeros((nb + 1) * b)
+        prod = np.zeros((b + 1, 2 * b - 1))
+        flat = prod.ravel()
+        for k in range(nb):
+            np.matmul(ub[:(nb - k) * rows].T, gb[k * rows:],
+                      out=prod[:b, b - 1:])
+            lo = b - 1 if k == 0 else 0
+            windows = _windows(flat[lo:], b, 2 * b - 1 - lo, 2 * b)
+            gtaps[k * b + lo:(k + 2) * b - 1] += windows.sum(axis=0)
+        return gtaps[b - 1:b - 1 + L], _from_blocks(gu, shape)
 
     return _record("causal_conv", data, (taps, u), rule)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -169,19 +170,28 @@ def load_split(paths: List[str]) -> Tuple[np.ndarray, np.ndarray]:
 # training
 
 
-def _batch_indices(seed: int, step: int, batch_size: int, count: int,
-                   perm_cache: dict) -> np.ndarray:
-    """Deterministic epoch-shuffled indices for one step."""
-    out = np.empty(batch_size, dtype=np.int64)
-    for i in range(batch_size):
-        pos = step * batch_size + i
-        epoch = pos // count
-        perm = perm_cache.get(epoch)
-        if perm is None:
-            perm = Rng(derive_seed(seed, "order", epoch)).permutation(count)
-            perm_cache[epoch] = perm
-        out[i] = perm[pos % count]
-    return out
+@lru_cache(maxsize=2)
+def _epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
+    """The shuffled order of one epoch; read-only, since it is cached."""
+    order = Rng(derive_seed(seed, "order", epoch)).permutation(count)
+    order.flags.writeable = False
+    return order
+
+
+def _batch_indices(seed: int, step: int, batch_size: int,
+                   count: int) -> np.ndarray:
+    """Deterministic epoch-shuffled indices for one step.
+
+    The run reads one stream of positions: position p is entry
+    p % count of the order of epoch p // count, and step s takes
+    positions s * batch_size up to (s + 1) * batch_size, a slice of
+    each epoch they fall in.
+    """
+    start, stop = step * batch_size, (step + 1) * batch_size
+    return np.concatenate([
+        _epoch_order(seed, epoch, count)[max(start - epoch * count, 0):
+                                         stop - epoch * count]
+        for epoch in range(start // count, (stop - 1) // count + 1)])
 
 
 def _checkpoint_entries(params: ModelParams, optimizer: AdamW):
@@ -204,11 +214,21 @@ def save_run_checkpoint(directory: str, params: ModelParams,
                     meta=meta)
 
 
+class _ZeroDraws:
+    """Stands in for an Rng where only the shapes of the draws matter:
+    every draw is zeros, so no random numbers are generated."""
+
+    def normal(self, shape=None, *_, **__) -> np.ndarray:
+        return np.zeros(() if shape is None else shape)
+
+    uniform = normal
+
+
 def load_run_checkpoint(directory: str):
     """Rebuild (params, optimizer, meta) from a saved run checkpoint."""
     entries, meta = load_checkpoint(directory)
     cfg = ModelConfig(**meta["model_config"])
-    params = init_model(cfg, Rng(0))
+    params = init_model(cfg, _ZeroDraws())
     model_entries = {k: v for k, v in entries.items()
                      if not k.startswith(("adam_m.", "adam_v."))}
     load_into(params.named_parameters(), model_entries)
@@ -280,13 +300,12 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
     count = len(input_ids)
     if count < 1:
         raise ValueError("no training sequences")
-    perm_cache: dict = {}
     history: List[Tuple[int, float, float]] = []
     with _open_loss_csv(os.path.join(out_dir, LOSS_CSV_NAME),
                         start_step) as csv:
         for step in range(start_step, train_cfg.steps):
             idx = _batch_indices(train_cfg.seed, step,
-                                 train_cfg.batch_size, count, perm_cache)
+                                 train_cfg.batch_size, count)
             lr = schedule(step, train_cfg.steps, train_cfg.warmup_frac,
                           train_cfg.peak_lr)
             drop_rng = Rng(derive_seed(train_cfg.seed, "dropout", step))

@@ -1,11 +1,22 @@
 """Autodiff tests: every op against oracles and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import check_grads, finite_difference_grad, rel_err
+from numpy.lib.stride_tricks import sliding_window_view
 
 import gatedssm.numerics as nm
 from gatedssm.numerics import Rng, Tensor, backward, no_grad
+from gatedssm.numerics import tensor as T
+from gatedssm.ssm import (
+    convolve,
+    discretize,
+    init_s4d,
+    materialize_kernel,
+    scan,
+)
 
 
 def leaf(rng, shape, scale=1.0):
@@ -404,6 +415,126 @@ def test_causal_conv_transposed_batch():
         return nm.tsum(nm.mul(nm.causal_conv(taps, cols), w))
 
     check_grads(f, [("taps", taps), ("x", x)])
+
+
+# ---------------------------------------------------------------------------
+# block-Toeplitz causal convolution
+
+BLOCK = T.CONV_BLOCK
+
+
+def blocks_of(b):
+    """A stand-in for ``_block_shape`` that always cuts into b-blocks."""
+    return lambda L: (-(-L // b), b)
+
+
+def dense_toeplitz_conv(taps, u, g):
+    """Forward and both adjoints through one (L, L) Toeplitz matrix.
+
+    The single-block formula, kept as the oracle that one block must
+    reproduce bit for bit: out = U @ M, gu = G @ M.T, and gtaps[l] the
+    sum of the l-th superdiagonal of U^T G, read as windows of its rows
+    padded to 2L - 1 entries.
+    """
+    L = len(taps)
+    padded = np.concatenate((np.zeros(L - 1), taps))
+    M = np.ascontiguousarray(sliding_window_view(padded, L)[::-1])
+    U, G = u.reshape(-1, L), g.reshape(-1, L)
+    prod = np.zeros((L, 2 * L - 1))
+    np.matmul(U.T, G, out=prod[:, :L])
+    gtaps = sliding_window_view(prod.ravel(), L)[::2 * L].sum(axis=0)
+    return (U @ M).reshape(u.shape), gtaps, (G @ M.T).reshape(u.shape)
+
+
+def conv_and_grads(taps, u, w):
+    """causal_conv(taps, u) and the gradients of sum(w * out)."""
+    taps, u = Tensor(taps, requires_grad=True), Tensor(u, requires_grad=True)
+    out = nm.causal_conv(taps, u)
+    backward(nm.tsum(nm.mul(out, Tensor(w))))
+    return out.data, taps.grad, u.grad
+
+
+def transposed_case(seed, L):
+    """taps, the (B, d, L) view ssm_apply passes, and output weights."""
+    rng = Rng(seed)
+    taps = rng.normal((L,))
+    u = rng.normal((2, L, 3)).transpose(0, 2, 1)
+    return taps, u, rng.normal((2, 3, L))
+
+
+@pytest.mark.parametrize("L", [1, 2, 33, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 7])
+def test_causal_conv_single_block_is_dense_product_bit_for_bit(L):
+    assert T._block_shape(L) == (1, L)
+    taps, u, w = transposed_case(300 + L, L)
+    got = conv_and_grads(taps, u, w)
+    for name, a, b in zip(("out", "gtaps", "gu"), got,
+                          dense_toeplitz_conv(taps, u, w)):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("L", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7,
+                               3 * BLOCK + 5])
+def test_causal_conv_blocks_match_direct_sum(L, monkeypatch):
+    # Blocks of the real size at every length, including the padded
+    # tail when L is not a multiple of the block.
+    monkeypatch.setattr(T, "_block_shape", blocks_of(BLOCK))
+    taps, u, w = transposed_case(400 + L, L)
+    out, gtaps, gu = conv_and_grads(taps, u, w)
+    np.testing.assert_allclose(out, direct_causal_conv(taps, u), atol=1e-10)
+    _, want_gtaps, want_gu = dense_toeplitz_conv(taps, u, w)
+    np.testing.assert_allclose(gtaps, want_gtaps, rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(gu, want_gu, rtol=1e-12, atol=1e-10)
+
+
+@pytest.mark.parametrize("L", [7, 8, 9, 23, 29])
+def test_causal_conv_block_gradients(L, monkeypatch):
+    # The block code with 8-long blocks, so finite differences stay
+    # cheap: b - 1, b, b + 1, 2b + 7 and four blocks.
+    monkeypatch.setattr(T, "_block_shape", blocks_of(8))
+    rng = Rng(500 + L)
+    taps = leaf(rng, (L,))
+    x = leaf(rng, (2, L, 3))
+    w = Tensor(rng.normal((2, 3, L)))
+    cols = nm.transpose(x, (0, 2, 1))
+    np.testing.assert_allclose(nm.causal_conv(taps, cols).data,
+                               direct_causal_conv(taps.data, cols.data),
+                               atol=1e-12)
+
+    def f():
+        cols = nm.transpose(x, (0, 2, 1))
+        return nm.tsum(nm.mul(nm.causal_conv(taps, cols), w))
+
+    check_grads(f, [("taps", taps), ("x", x)])
+
+
+def test_scan_matches_block_convolution():
+    L = 1000
+    nb, b = T._block_shape(L)
+    assert nb >= 3 and L % b
+    rng = Rng(600)
+    for n_state in (8, 64):
+        system = discretize(init_s4d(n_state, rng=rng))
+        u = rng.normal((L,))
+        with no_grad():
+            got = convolve(materialize_kernel(system, L), system.d, u).data
+        gap = float(np.max(np.abs(got - scan(system, u))))
+        assert gap < 1e-8, f"n_state={n_state}: gap {gap:.3e}"
+
+
+def test_causal_conv_memory_stays_below_one_dense_matrix():
+    L, rows = 2048, 8
+    rng = Rng(700)
+    taps = leaf(rng, (L,))
+    u = leaf(rng, (rows, L))
+    w = Tensor(rng.normal((rows, L)))
+    tracemalloc.start()
+    try:
+        backward(nm.tsum(nm.mul(nm.causal_conv(taps, u), w)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < L * L * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from gatedssm.pretrain import (
     prepare_shards,
     train_mlm,
 )
+from gatedssm.pretrain.optim import AdamW
 from gatedssm.pretrain.trainer import _batch_indices, _batch_loss
 
 VOCAB = 60
@@ -125,18 +126,45 @@ def test_prepare_shards_different_seed_differs(tmp_path):
 
 
 def test_batch_indices_cover_each_epoch():
-    cache: dict = {}
     seen = [int(i) for s in range(5)
-            for i in _batch_indices(3, s, 2, 10, cache)]
+            for i in _batch_indices(3, s, 2, 10)]
     assert sorted(seen) == list(range(10))
     again = [int(i) for s in range(5)
-             for i in _batch_indices(3, s, 2, 10, {})]
+             for i in _batch_indices(3, s, 2, 10)]
     assert seen == again
     # Second epoch reshuffles.
     epoch2 = [int(i) for s in range(5, 10)
-              for i in _batch_indices(3, s, 2, 10, cache)]
+              for i in _batch_indices(3, s, 2, 10)]
     assert sorted(epoch2) == list(range(10))
     assert epoch2 != seen
+
+
+def per_element_batch_indices(seed, step, batch_size, count):
+    """The original per-element loop, kept as the batch-order oracle."""
+    perm_cache = {}
+    out = np.empty(batch_size, dtype=np.int64)
+    for i in range(batch_size):
+        pos = step * batch_size + i
+        epoch = pos // count
+        perm = perm_cache.get(epoch)
+        if perm is None:
+            perm = Rng(derive_seed(seed, "order", epoch)).permutation(count)
+            perm_cache[epoch] = perm
+        out[i] = perm[pos % count]
+    return out
+
+
+@pytest.mark.parametrize("seed,batch_size,count", [
+    (3, 2, 10), (0, 7, 10), (4, 3, 97),
+    # batch_size > count: one step spans three or more epochs.
+    (5, 16, 5), (9, 25, 3), (1, 4, 1),
+])
+def test_batch_indices_match_per_element_loop(seed, batch_size, count):
+    for step in (0, 1, 2, 3, 7, 40):
+        got = _batch_indices(seed, step, batch_size, count)
+        want = per_element_batch_indices(seed, step, batch_size, count)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +281,50 @@ def test_nonfinite_loss_aborts_and_keeps_checkpoint(tmp_path):
     assert os.path.isdir(kept)
     reload_params, _, _ = load_run_checkpoint(kept)
     assert np.isfinite(reload_params.embeddings.token_table.data).all()
+
+
+@pytest.mark.parametrize("arch,routing", [("gated", "ssm"),
+                                          ("stacked", "attention")])
+def test_load_run_checkpoint_restores_saved_state_exactly(tmp_path, arch,
+                                                          routing):
+    ids, labels = toy_data(16, seed=12)
+    cfg = toy_cfg(arch=arch, routing=routing, use_bias=True)
+    params = init_model(cfg, Rng(21))
+    optimizer = AdamW(params.trainable_parameters(), weight_decay=0.01)
+    out = str(tmp_path / "run")
+    train_mlm(cfg, TrainConfig(steps=2, batch_size=4, weight_decay=0.01,
+                               seed=5),
+              ids, labels, out, params=params, optimizer=optimizer)
+    loaded, loaded_opt, _ = load_run_checkpoint(
+        os.path.join(out, FINAL_CHECKPOINT))
+    saved = list(params.named_parameters())
+    got = list(loaded.named_parameters())
+    assert [n for n, _ in got] == [n for n, _ in saved]
+    for (name, a), (_, b) in zip(saved, got):
+        assert b.data.shape == a.data.shape, name
+        assert b.data.tobytes() == a.data.tobytes(), name
+        assert b.requires_grad == a.requires_grad, name
+    saved_state = list(optimizer.state_entries())
+    got_state = list(loaded_opt.state_entries())
+    assert [n for n, _ in got_state] == [n for n, _ in saved_state]
+    for (name, a), (_, b) in zip(saved_state, got_state):
+        assert b.tobytes() == a.tobytes(), name
+    assert loaded_opt.step_count == optimizer.step_count == 2
+
+
+def test_load_run_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    ckpt = checkpointed_toy_run(tmp_path)
+    calls = []
+    for method in ("normal", "uniform"):
+        def counted(self, *args, _real=getattr(Rng, method), **kwargs):
+            calls.append(_real.__name__)
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(Rng, method, counted)
+    load_run_checkpoint(ckpt)
+    assert calls == []
+    # The counter does see the draws of a fresh initialization.
+    init_model(toy_cfg(), Rng(0))
+    assert {"normal", "uniform"} <= set(calls)
 
 
 def test_eval_uniform_baseline_and_validation():
