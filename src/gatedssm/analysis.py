@@ -110,8 +110,9 @@ def dump_kernels(params: ModelParams) -> KernelDump:
         for layer, blk in enumerate(params.blocks):
             for direction, p in (("forward", blk.ssm_fwd),
                                  ("backward", blk.ssm_bwd)):
-                kern = materialize_kernel(discretize(p), cfg.max_len)
-                taps = np.array(kern.taps.data, dtype=np.float64)
+                taps = np.array(
+                    materialize_kernel(discretize(p), cfg.max_len).data,
+                    dtype=np.float64)
                 crop, normalized, in_window = _crop_and_normalize(
                     taps, direction)
                 slices.append(KernelSlice(layer, direction, taps, crop,
@@ -339,8 +340,8 @@ def probe_static_routing(p: SsmParams, u1: np.ndarray,
         raise ValueError("probe inputs must share a shape")
     length = u1.shape[-2]
     with no_grad():
-        k1 = np.array(materialize_kernel(discretize(p), length).taps.data)
-        k2 = np.array(materialize_kernel(discretize(p), length).taps.data)
+        k1 = np.array(materialize_kernel(discretize(p), length).data)
+        k2 = np.array(materialize_kernel(discretize(p), length).data)
         y1 = np.array(ssm_apply(p, u1).data)
         y2 = np.array(ssm_apply(p, u2).data)
     kernel_delta = float(np.max(np.abs(k1 - k2)))

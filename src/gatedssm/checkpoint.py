@@ -92,19 +92,16 @@ def load_checkpoint(directory: str) -> Tuple[Dict[str, np.ndarray], dict]:
 
 
 def load_into(named_tensors: Iterable[Tuple[str, object]],
-              entries: Dict[str, np.ndarray],
-              strict: bool = True) -> None:
+              entries: Dict[str, np.ndarray]) -> None:
     """Copy loaded arrays into live tensors in place, by name.
 
-    With strict=True every tensor must have an entry and every entry a
-    tensor; shapes must always match.
+    Every tensor must have an entry and every entry a tensor, and the
+    shapes must match.
     """
     remaining = dict(entries)
     for name, tensor in named_tensors:
         if name not in remaining:
-            if strict:
-                raise KeyError(f"checkpoint is missing entry {name!r}")
-            continue
+            raise KeyError(f"checkpoint is missing entry {name!r}")
         value = remaining.pop(name)
         if tuple(value.shape) != tuple(tensor.data.shape):
             raise ValueError(
@@ -112,6 +109,6 @@ def load_into(named_tensors: Iterable[Tuple[str, object]],
                 f"{tuple(value.shape)}, model {tuple(tensor.data.shape)}"
             )
         tensor.data[...] = value
-    if strict and remaining:
+    if remaining:
         extra = sorted(remaining)[:5]
         raise KeyError(f"checkpoint has unused entries: {extra}")

@@ -1,12 +1,11 @@
 """Iterative radix-2 FFT on split real/imaginary float64 buffers.
 
 Supports power-of-two lengths only; callers zero-pad (``next_pow2``
-helps). Convention: the forward transform uses exp(-2*pi*i*j*k/n) with
-no scaling, the inverse uses exp(+2*pi*i*j*k/n) and scales by 1/n, so
-ifft(fft(x)) == x.
+helps). Convention: the transform uses exp(-2*pi*i*j*k/n) with no
+scaling; only the forward direction exists.
 
 The batched entry point ``transform`` works on arrays of shape
-(..., n); ``fft``/``ifft`` wrap it for single vectors.
+(..., n); ``fft`` wraps it for single vectors.
 
 No convolution calls this module: ``tensor.causal_conv`` runs as
 Toeplitz GEMMs, which measured faster than this transform at every
@@ -77,7 +76,7 @@ def _plan(n: int):
     return plan
 
 
-def transform(re: np.ndarray, im: np.ndarray, inverse: bool = False):
+def transform(re: np.ndarray, im: np.ndarray):
     """Radix-2 FFT along the last axis of (..., n) arrays.
 
     Returns new (re, im) arrays; inputs are not modified.
@@ -98,8 +97,6 @@ def transform(re: np.ndarray, im: np.ndarray, inverse: bool = False):
     a = re.reshape(-1, n)[:, rev]
     b = im.reshape(-1, n)[:, rev]
     for w_re, w_im in stages:
-        if inverse:
-            w_im = -w_im
         half = w_re.shape[0]
         m = 2 * half
         ar = a.reshape(-1, n // m, m)
@@ -112,19 +109,10 @@ def transform(re: np.ndarray, im: np.ndarray, inverse: bool = False):
         np.subtract(lo_im, t_im, out=hi_im)
         np.add(lo_re, t_re, out=lo_re)
         np.add(lo_im, t_im, out=lo_im)
-    if inverse:
-        a /= n
-        b /= n
     return a.reshape(*lead, n), b.reshape(*lead, n)
 
 
 def fft(x: ComplexVector) -> ComplexVector:
     """Forward transform of a single complex vector."""
-    re, im = transform(x.re, x.im, inverse=False)
-    return ComplexVector(re, im)
-
-
-def ifft(x: ComplexVector) -> ComplexVector:
-    """Inverse transform; ifft(fft(x)) recovers x to round-off."""
-    re, im = transform(x.re, x.im, inverse=True)
+    re, im = transform(x.re, x.im)
     return ComplexVector(re, im)

@@ -9,6 +9,10 @@ import numpy as np
 
 from ..numerics import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.98
+EPS = 1e-6
+
 
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
@@ -17,18 +21,16 @@ class AdamW:
     the per-kernel state-space scalars are exempt, following the usual
     no-decay-on-norms convention. Gradient clipping is off unless
     `clip_norm` is set positive, and enabling it is an explicit choice.
+    The moment decay rates and eps are the constants BETA1, BETA2, EPS.
     """
 
     def __init__(self, params: Iterable[Tuple[str, Tensor]],
-                 beta1: float = 0.9, beta2: float = 0.98,
-                 eps: float = 1e-6, weight_decay: float = 0.0,
-                 clip_norm: float = 0.0):
+                 weight_decay: float = 0.0, clip_norm: float = 0.0):
         self.params: List[Tuple[str, Tensor]] = [
             (name, p) for name, p in params if p.requires_grad
         ]
         if not self.params:
             raise ValueError("optimizer received no trainable parameters")
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.step_count = 0
@@ -61,17 +63,17 @@ class AdamW:
                     p.grad *= scale
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params:
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data -= lr * update
             if self.weight_decay and self._decayed(p):
                 p.data -= lr * self.weight_decay * p.data

@@ -108,6 +108,11 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     so both splits cover the corpus evenly; shard contents are a pure
     function of (corpus bytes, seed, sizes).
     """
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if not 0.0 <= holdout_fraction <= 0.5:
+        raise ValueError(
+            f"holdout_fraction must lie in [0, 0.5], got {holdout_fraction}")
     os.makedirs(out_dir, exist_ok=True)
     with open(corpus_path, "r", encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f]

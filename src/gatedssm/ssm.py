@@ -11,8 +11,8 @@ exploit heavily.
 Storage convention: state entries come in conjugate pairs, and only
 the upper half-plane member of each pair is stored. With that
 convention both the kernel taps and the scan readout take twice the
-real part of the stored half-sum (``conjugate_pairs=True``). Systems
-built directly from real coefficients can opt out of the doubling.
+real part of the stored half-sum. ``DiscreteSsm.from_real`` stores
+c/2, so the doubling gives a real system's c back.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class SsmParams:
     """Trainable continuous-time parameters of one directional SSM.
 
     The real part of Lambda is parameterized as -exp(log_neg_re) so the
-    system is stable for every parameter value. B defaults to a frozen
-    1+0i (its effect folds into C); the imaginary part of Lambda is
-    trainable by default. All buffers have length n_state, which counts
+    system is stable for every parameter value. ``init_s4d`` freezes B
+    at 1+0i (its effect folds into C) and trains the imaginary part of
+    Lambda. All buffers have length n_state, which counts
     stored (half-pair) entries.
     """
 
@@ -47,7 +47,6 @@ class SsmParams:
     c_im: Tensor
     log_dt: Tensor
     d: Tensor
-    conjugate_pairs: bool = True
 
     def __post_init__(self):
         n = self.log_neg_re.shape[0]
@@ -78,49 +77,37 @@ class DiscreteSsm:
     c_re: Tensor
     c_im: Tensor
     d: Tensor
-    conjugate_pairs: bool = True
 
     @property
     def n_state(self) -> int:
         return self.a_re.shape[0]
 
     @classmethod
-    def from_real(cls, a, b, c, d: float = 0.0,
-                  conjugate_pairs: bool = False) -> "DiscreteSsm":
-        """Build a real-coefficient system (no doubling by default)."""
+    def from_real(cls, a, b, c, d: float = 0.0) -> "DiscreteSsm":
+        """Build a real-coefficient system with readout y = c.x + d*u.
+
+        c is stored halved so that the conjugate-pair doubling of the
+        kernel and the scan gives it back exactly.
+        """
         a = np.atleast_1d(np.asarray(a, dtype=np.float64))
         b = np.atleast_1d(np.asarray(b, dtype=np.float64))
         c = np.atleast_1d(np.asarray(c, dtype=np.float64))
         zeros = np.zeros_like(a)
         return cls(Tensor(a), Tensor(zeros.copy()), Tensor(b),
-                   Tensor(zeros.copy()), Tensor(c), Tensor(zeros.copy()),
-                   Tensor(float(d)), conjugate_pairs=conjugate_pairs)
-
-
-@dataclass
-class Kernel:
-    """Materialized impulse response of a discrete SSM."""
-
-    length: int
-    taps: Tensor
-
-    def __post_init__(self):
-        if self.taps.shape != (self.length,):
-            raise ValueError(
-                f"kernel taps shape {self.taps.shape} does not match "
-                f"length {self.length}"
-            )
+                   Tensor(zeros.copy()), Tensor(0.5 * c), Tensor(zeros.copy()),
+                   Tensor(float(d)))
 
 
 def init_s4d(n_state: int, dt_min: float = DT_MIN_DEFAULT,
-             dt_max: float = DT_MAX_DEFAULT, rng: Rng | None = None, *,
-             trainable_b: bool = False, trainable_im: bool = True) -> SsmParams:
+             dt_max: float = DT_MAX_DEFAULT,
+             rng: Rng | None = None) -> SsmParams:
     """Diagonal-linear initialization.
 
     Stored (half-pair) entries are Lambda_n = -1/2 + i*pi*n for
     n = 0..n_state/2 - 1; B = 1; C has unit-normal re/im components;
     log_dt is uniform in [log dt_min, log dt_max]; the skip D starts
-    at 1. n_state counts full conjugate pairs and must be even.
+    at 1. B is frozen; every other field is trainable. n_state counts
+    full conjugate pairs and must be even.
     """
     if n_state % 2 != 0 or n_state < 2:
         raise ValueError(f"n_state must be even and >= 2, got {n_state}")
@@ -130,10 +117,9 @@ def init_s4d(n_state: int, dt_min: float = DT_MIN_DEFAULT,
         rng = Rng(0)
     half = n_state // 2
     log_neg_re = Tensor(np.full(half, np.log(0.5)), requires_grad=True)
-    im = Tensor(np.pi * np.arange(half, dtype=np.float64),
-                requires_grad=trainable_im)
-    b_re = Tensor(np.ones(half), requires_grad=trainable_b)
-    b_im = Tensor(np.zeros(half), requires_grad=trainable_b)
+    im = Tensor(np.pi * np.arange(half, dtype=np.float64), requires_grad=True)
+    b_re = Tensor(np.ones(half))
+    b_im = Tensor(np.zeros(half))
     c_re = Tensor(rng.normal((half,)), requires_grad=True)
     c_im = Tensor(rng.normal((half,)), requires_grad=True)
     log_dt = Tensor(rng.uniform(None, np.log(dt_min), np.log(dt_max)),
@@ -164,18 +150,17 @@ def discretize(p: SsmParams) -> DiscreteSsm:
     q_im = T.div(T.sub(T.mul(num_im, lam_re), T.mul(num_re, lam_im)), den)
     b_re = T.sub(T.mul(q_re, p.b_re), T.mul(q_im, p.b_im))
     b_im = T.add(T.mul(q_re, p.b_im), T.mul(q_im, p.b_re))
-    return DiscreteSsm(a_re, a_im, b_re, b_im, p.c_re, p.c_im, p.d,
-                       conjugate_pairs=p.conjugate_pairs)
+    return DiscreteSsm(a_re, a_im, b_re, b_im, p.c_re, p.c_im, p.d)
 
 
-def materialize_kernel(d: DiscreteSsm, length: int) -> Kernel:
-    """Impulse-response taps: taps[l] = (2x) Re sum_n c_n * a_n^l * b_n.
+def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
+    """Impulse-response taps: taps[l] = 2 Re sum_n c_n * a_n^l * b_n.
 
     Powers are evaluated in the diagonal (Vandermonde) form
     a^l = exp(l * log a) rather than by repeated multiplication; the
     principal branch of the complex log is exact here because l is an
-    integer. The doubling factor applies under the conjugate-pair
-    storage convention and is skipped for plain real systems.
+    integer. The doubling is the conjugate-pair storage convention.
+    Returns the (length,) taps.
     """
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
@@ -193,15 +178,13 @@ def materialize_kernel(d: DiscreteSsm, length: int) -> Kernel:
     w_im = T.add(T.mul(d.c_re, d.b_im), T.mul(d.c_im, d.b_re))
     taps = T.sub(T.matmul(T.reshape(w_re, (1, n)), p_re),
                  T.matmul(T.reshape(w_im, (1, n)), p_im))
-    scale = 2.0 if d.conjugate_pairs else 1.0
-    taps = T.reshape(T.mul(scale, taps), (length,))
-    return Kernel(length=length, taps=taps)
+    return T.reshape(T.mul(2.0, taps), (length,))
 
 
 def scan(d: DiscreteSsm, u: np.ndarray) -> np.ndarray:
     """Stepwise recurrence reference: x_k = a x_{k-1} + b u_k.
 
-    Readout y_k = (2x) Re(c . x_k) + d_skip * u_k with the same
+    Readout y_k = 2 Re(c . x_k) + d_skip * u_k with the same
     doubling convention as the kernel. Pure numpy, not differentiable;
     this is the oracle the convolution path is checked against.
     """
@@ -212,28 +195,24 @@ def scan(d: DiscreteSsm, u: np.ndarray) -> np.ndarray:
     b = d.b_re.data + 1j * d.b_im.data
     c = d.c_re.data + 1j * d.c_im.data
     d_skip = float(d.d.data)
-    scale = 2.0 if d.conjugate_pairs else 1.0
     x = np.zeros_like(a)
     y = np.zeros_like(u)
     for k in range(u.shape[0]):
         x = a * x + b * u[k]
-        y[k] = scale * np.real(np.dot(c, x)) + d_skip * u[k]
+        y[k] = 2.0 * np.real(np.dot(c, x)) + d_skip * u[k]
     return y
 
 
-def convolve(k: Kernel, d_skip, u) -> Tensor:
-    """Causal convolution with the kernel plus the d_skip * u passthrough.
+def convolve(taps, d_skip, u) -> Tensor:
+    """Causal convolution with the kernel taps plus the d_skip * u
+    passthrough.
 
     Differentiable with respect to taps, skip, and input. The kernel
-    length must equal the sequence length.
+    length must equal the sequence length (``causal_conv`` checks it).
     """
     u = T.as_tensor(u)
-    if u.shape[-1] != k.length:
-        raise ValueError(
-            f"kernel length {k.length} != sequence length {u.shape[-1]}"
-        )
     d_skip = T.as_tensor(d_skip)
-    return T.add(T.causal_conv(k.taps, u), T.mul(d_skip, u))
+    return T.add(T.causal_conv(taps, u), T.mul(d_skip, u))
 
 
 def ssm_apply(p: SsmParams, x: Tensor) -> Tensor:
@@ -247,9 +226,9 @@ def ssm_apply(p: SsmParams, x: Tensor) -> Tensor:
     if x.ndim not in (2, 3):
         raise ValueError(f"ssm_apply expects (L, d) or (B, L, d), got {x.shape}")
     length = x.shape[-2]
-    kern = materialize_kernel(discretize(p), length)
+    taps = materialize_kernel(discretize(p), length)
     axes = (1, 0) if x.ndim == 2 else (0, 2, 1)
     cols = T.transpose(x, axes)  # (..., d, L)
-    y = T.causal_conv(kern.taps, cols)
+    y = T.causal_conv(taps, cols)
     y = T.transpose(y, axes)
     return T.add(y, T.mul(p.d, x))

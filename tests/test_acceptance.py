@@ -157,8 +157,8 @@ def test_branches_are_causal_and_anticausal():
 
 def test_length_extension_is_exact():
     p = init_s4d(16, rng=Rng(109))
-    short = materialize_kernel(discretize(p), 32).taps.data
-    long = materialize_kernel(discretize(p), 128).taps.data
+    short = materialize_kernel(discretize(p), 32).data
+    long = materialize_kernel(discretize(p), 128).data
     assert float(np.max(np.abs(long[:32] - short))) < 1e-12
 
     cfg = ModelConfig(arch="gated", routing="ssm", n_layers=2, d_model=16,

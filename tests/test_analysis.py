@@ -61,7 +61,7 @@ def test_dump_taps_are_bit_exact_passthrough():
     params = init_model(toy_cfg(), Rng(1))
     dump = dump_kernels(params)
     want = materialize_kernel(
-        discretize(params.blocks[0].ssm_fwd), 32).taps.data
+        discretize(params.blocks[0].ssm_fwd), 32).data
     np.testing.assert_array_equal(dump.kernels[0].taps, want)
     assert dump.kernels[0].taps.shape == (32,)
 

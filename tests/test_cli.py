@@ -87,6 +87,13 @@ def test_prepare_missing_corpus_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_prepare_rejects_zero_shards(tmp_path, corpus, capsys):
+    assert main(["prepare", corpus, "--out", str(tmp_path / "d"),
+                 "--set", "prepare.n_shards=0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_shards") and err.count("\n") == 1
+
+
 def test_train_eval_extend_dump_pipeline(tmp_path, corpus, capsys):
     data = prepared_dir(tmp_path, corpus, "data", seq_len=32)
     run = str(tmp_path / "run")

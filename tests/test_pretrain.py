@@ -276,8 +276,7 @@ def test_adamw_matches_reference_implementation():
     ref = {n: p.data.copy() for n, p in params}
     m = {n: np.zeros_like(p.data) for n, p in params}
     v = {n: np.zeros_like(p.data) for n, p in params}
-    opt = AdamW(params, beta1=0.9, beta2=0.98, eps=1e-6,
-                weight_decay=0.02)
+    opt = AdamW(params, weight_decay=0.02)
     lr = 3e-3
     for t in range(1, 6):
         grads = {n: rng.normal(p.data.shape) for n, p in params}

@@ -8,7 +8,6 @@ import gatedssm.numerics.tensor as T
 from gatedssm.numerics import Rng, Tensor, no_grad
 from gatedssm.ssm import (
     DiscreteSsm,
-    Kernel,
     SsmParams,
     convolve,
     discretize,
@@ -74,8 +73,6 @@ def test_init_s4d_b_frozen_by_default():
     p = init_s4d(4, rng=Rng(3))
     assert not p.b_re.requires_grad and not p.b_im.requires_grad
     assert p.im.requires_grad
-    p2 = init_s4d(4, rng=Rng(3), trainable_b=True, trainable_im=False)
-    assert p2.b_re.requires_grad and not p2.im.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,7 @@ def test_discretize_gradients():
 def test_kernel_scalar_geometric_case():
     d = DiscreteSsm.from_real(a=0.5, b=1.0, c=2.0, d=0.0)
     k = materialize_kernel(d, 3)
-    np.testing.assert_allclose(k.taps.data, [2.0, 1.0, 0.5], atol=1e-14)
+    np.testing.assert_allclose(k.data, [2.0, 1.0, 0.5], atol=1e-14)
 
 
 def test_kernel_single_tap_formula():
@@ -167,7 +164,7 @@ def test_kernel_single_tap_formula():
     d = discretize(p)
     k = materialize_kernel(d, 1)
     cb = (d.c_re.data + 1j * d.c_im.data) * (d.b_re.data + 1j * d.b_im.data)
-    assert float(k.taps.data[0]) == pytest.approx(2.0 * cb.real.sum(),
+    assert float(k.data[0]) == pytest.approx(2.0 * cb.real.sum(),
                                                   abs=1e-12)
 
 
@@ -186,7 +183,7 @@ def test_kernel_matches_power_loop_oracle():
     for l in range(32):
         want[l] = 2.0 * np.real(np.sum(c * power * b))
         power = power * a
-    np.testing.assert_allclose(k.taps.data, want, atol=1e-10)
+    np.testing.assert_allclose(k.data, want, atol=1e-10)
 
 
 def test_kernel_negative_real_pole():
@@ -194,7 +191,7 @@ def test_kernel_negative_real_pole():
     d = DiscreteSsm.from_real(a=-0.8, b=1.0, c=1.0)
     k = materialize_kernel(d, 5)
     np.testing.assert_allclose(
-        k.taps.data, [1.0, -0.8, 0.64, -0.512, 0.4096], atol=1e-12
+        k.data, [1.0, -0.8, 0.64, -0.512, 0.4096], atol=1e-12
     )
 
 
@@ -203,8 +200,8 @@ def test_kernel_prefix_extension_consistency():
         p = random_params(Rng(seed), 8)
         d = discretize(p)
         with no_grad():
-            short = materialize_kernel(d, 64).taps.data
-            long = materialize_kernel(d, 256).taps.data
+            short = materialize_kernel(d, 64).data
+            long = materialize_kernel(d, 256).data
         np.testing.assert_allclose(long[:64], short, atol=1e-12)
 
 
@@ -212,7 +209,7 @@ def test_kernel_decay_envelope():
     rng = Rng(31)
     p = random_params(rng, 8)
     d = discretize(p)
-    taps = materialize_kernel(d, 128).taps.data
+    taps = materialize_kernel(d, 128).data
     a_mag = np.hypot(d.a_re.data, d.a_im.data)
     cb_mag = np.hypot(d.c_re.data, d.c_im.data) * np.hypot(d.b_re.data,
                                                            d.b_im.data)
@@ -245,19 +242,19 @@ def test_convolve_identity_kernel():
     u = Rng(1).normal((8,))
     taps = np.zeros(8)
     taps[0] = 1.0
-    out = convolve(Kernel(8, Tensor(taps)), 0.0, Tensor(u))
+    out = convolve(Tensor(taps), 0.0, Tensor(u))
     np.testing.assert_allclose(out.data, u, atol=1e-12)
 
 
 def test_convolve_pure_skip():
     u = Rng(2).normal((8,))
-    out = convolve(Kernel(8, Tensor(np.zeros(8))), 3.0, Tensor(u))
+    out = convolve(Tensor(np.zeros(8)), 3.0, Tensor(u))
     np.testing.assert_allclose(out.data, 3.0 * u, atol=1e-12)
 
 
 def test_convolve_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        convolve(Kernel(4, Tensor(np.zeros(4))), 0.0, Tensor(np.zeros(5)))
+        convolve(Tensor(np.zeros(4)), 0.0, Tensor(np.zeros(5)))
 
 
 def test_scan_equals_convolve_quick():

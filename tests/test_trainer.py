@@ -121,6 +121,20 @@ def test_prepare_shards_different_seed_differs(tmp_path):
     assert raw_a != raw_b
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_shards", 0), ("n_shards", -1), ("holdout_fraction", 0.7),
+    ("holdout_fraction", 1.0), ("holdout_fraction", -0.1),
+])
+def test_prepare_shards_rejects_bad_split(tmp_path, key, value):
+    corpus = str(tmp_path / "c.txt")
+    generate_corpus(corpus, n_docs=5, doc_len=100, n_words=32, seed=1)
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match=key):
+        prepare_shards(corpus, out, vocab_size=40, seq_len=8,
+                       **{key: value})
+    assert not os.path.exists(out)
+
+
 # ---------------------------------------------------------------------------
 # batch order
 
