@@ -158,15 +158,16 @@ class EmbeddingParams:
     """Token table, optional position table, and the tied prediction head.
 
     The output projection of the head reuses `token_table` itself, so the
-    tied weights are one storage object, not a copy.
+    tied weights are one storage object, not a copy. The field order is
+    the order of checkpoint entries and optimizer state.
     """
 
     token_table: Tensor
     position_table: Optional[Tensor] = None
     head_transform: Tensor = None
+    head_transform_bias: Optional[Tensor] = None
     head_ln_gain: Tensor = None
     head_ln_bias: Tensor = None
-    head_transform_bias: Optional[Tensor] = None
     head_output_bias: Optional[Tensor] = None
 
 
@@ -178,17 +179,8 @@ class ModelParams:
 
     def named_parameters(self) -> Iterator[Tuple[str, Tensor]]:
         """All parameter tensors in a stable order, tied weights once."""
-        emb = self.embeddings
-        yield "embeddings.token_table", emb.token_table
-        if emb.position_table is not None:
-            yield "embeddings.position_table", emb.position_table
-        yield "embeddings.head_transform", emb.head_transform
-        if emb.head_transform_bias is not None:
-            yield "embeddings.head_transform_bias", emb.head_transform_bias
-        yield "embeddings.head_ln_gain", emb.head_ln_gain
-        yield "embeddings.head_ln_bias", emb.head_ln_bias
-        if emb.head_output_bias is not None:
-            yield "embeddings.head_output_bias", emb.head_output_bias
+        for name, t in _named_block_params(self.embeddings):
+            yield "embeddings." + name, t
         for i, blk in enumerate(self.blocks):
             prefix = f"blocks.{i}."
             for name, t in _named_block_params(blk):
@@ -380,20 +372,15 @@ def _route_gated(branch, ssm_p, attn_p, n_heads: int) -> Tensor:
 
 def gated_block(x, p: GatedBlockParams, *, dropout_p: float = 0.0,
                 rng: Optional[Rng] = None, train: bool = False,
-                n_heads: int = 1, skip_input_norm: bool = False) -> Tensor:
-    """One gated block over (L, d) or (batch, L, d) activations.
-
-    `skip_input_norm` bypasses the entry LayerNorm; it exists for probe
-    configurations that need the branch structure without cross-feature
-    coupling, and is never used in training.
-    """
+                n_heads: int = 1) -> Tensor:
+    """One gated block over (L, d) or (batch, L, d) activations."""
     x = T.as_tensor(x)
     d = p.w_f.shape[0]
     if x.shape[-1] != d:
         raise ValueError(
             f"input width {x.shape[-1]} does not match block width {d}"
         )
-    h = x if skip_input_norm else T.layer_norm(x, p.ln_gain, p.ln_bias)
+    h = T.layer_norm(x, p.ln_gain, p.ln_bias)
     value = T.gelu(_linear(h, p.w_v, p.b_v))
     fwd = T.gelu(_linear(h, p.w_f, p.b_f))
     bwd = T.gelu(_linear(flip(h), p.w_b, p.b_b))
@@ -496,8 +483,8 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
 
 
 def _ssm_param_count(n_state: int) -> int:
-    # Six per stored conjugate pair plus the step size and skip scalars.
-    return 6 * (n_state // 2) + 2
+    # Four per stored conjugate pair plus the step size and skip scalars.
+    return 4 * (n_state // 2) + 2
 
 
 def param_count(cfg: ModelConfig) -> dict:
@@ -551,8 +538,3 @@ def param_count(cfg: ModelConfig) -> dict:
     }
     counts["total"] = counts["blocks_total"] + embeddings + head
     return counts
-
-
-def count_allocated(params: ModelParams) -> int:
-    """Exhaustive size sum over named parameters (tied weights once)."""
-    return sum(t.data.size for _, t in params.named_parameters())

@@ -1,7 +1,6 @@
-"""Numeric substrate: tensors with reverse-mode autodiff, RNG, and a
-standalone forward radix-2 FFT that no convolution uses."""
+"""Numeric substrate: tensors with reverse-mode autodiff (the causal
+convolution included), a seedable RNG, and ``next_pow2``."""
 
-from .fft import ComplexVector, fft, next_pow2, transform
 from .rng import Rng, derive_seed, mix64
 from .tensor import (
     Tensor,
@@ -37,7 +36,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "ComplexVector",
     "Rng",
     "TapeNode",
     "Tensor",
@@ -49,7 +47,6 @@ __all__ = [
     "derive_seed",
     "div",
     "embedding",
-    "fft",
     "flip",
     "gelu",
     "getitem",
@@ -69,9 +66,18 @@ __all__ = [
     "texp",
     "tlog",
     "tmean",
-    "transform",
     "transpose",
     "tsin",
     "tsqrt",
     "tsum",
 ]
+
+
+def next_pow2(n: int) -> int:
+    """Smallest power of two >= n (1 for n < 1).
+
+    perfbench's tracer sizes its FFT work counters with it.
+    """
+    if n < 1:
+        return 1
+    return 1 << (n - 1).bit_length()

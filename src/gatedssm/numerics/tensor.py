@@ -128,9 +128,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, p):
-        return power(self, p)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -144,9 +141,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:

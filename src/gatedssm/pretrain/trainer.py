@@ -10,6 +10,7 @@ from a checkpoint at step k replays exactly the run that never stopped.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -104,9 +105,10 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
                    holdout_fraction: float = 0.1) -> dict:
     """Corpus file -> vocab file + masked train/heldout shard files.
 
-    Chunks are masked offline. The heldout split takes every k-th chunk
-    so both splits cover the corpus evenly; shard contents are a pure
-    function of (corpus bytes, seed, sizes).
+    Chunks are masked offline. The heldout split takes chunk i whenever
+    floor(i * holdout_fraction) steps up, so it holds the asked fraction
+    of the chunks to within one, spread evenly over the corpus; shard
+    contents are a pure function of (corpus bytes, seed, sizes).
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -120,11 +122,9 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     chunks = chunk_corpus(lines, vocab, seq_len)
 
-    k = max(int(round(1.0 / holdout_fraction)), 2) if holdout_fraction else 0
-    if k:
-        held_sel = np.arange(len(chunks)) % k == 0
-    else:
-        held_sel = np.zeros(len(chunks), dtype=bool)
+    i = np.arange(len(chunks))
+    held_sel = (np.floor(i * holdout_fraction)
+                != np.floor((i - 1) * holdout_fraction))
     splits = {"heldout": chunks[held_sel], "train": chunks[~held_sel]}
 
     paths: Dict[str, List[str]] = {"train": [], "heldout": []}
@@ -229,9 +229,24 @@ class _ZeroDraws:
     uniform = normal
 
 
+# Entries of checkpoints written while SsmParams still stored the input
+# matrix B, which is fixed at 1 + 0i.
+_STORED_B = re.compile(r"\.ssm_(?:fwd|bwd)\.b_(?:re|im)$")
+
+
+def _drop_stored_b(entries: Dict[str, np.ndarray]) -> None:
+    """Remove stored B entries in place; they must hold exactly 1 and 0."""
+    for name in [k for k in entries if _STORED_B.search(k)]:
+        want = 1.0 if name.endswith("re") else 0.0
+        if not np.all(entries.pop(name) == want):
+            raise ValueError(f"checkpoint entry {name!r} must hold {want:g} "
+                             f"everywhere: B is fixed at 1 + 0i")
+
+
 def load_run_checkpoint(directory: str):
     """Rebuild (params, optimizer, meta) from a saved run checkpoint."""
     entries, meta = load_checkpoint(directory)
+    _drop_stored_b(entries)
     cfg = ModelConfig(**meta["model_config"])
     params = init_model(cfg, _ZeroDraws())
     model_entries = {k: v for k, v in entries.items()

@@ -1,12 +1,13 @@
 """Diagonal state-space models: parameters, discretization, kernels.
 
-A continuous-time linear system x'(t) = diag(Lambda) x(t) + B u(t),
+A continuous-time linear system x'(t) = diag(Lambda) x(t) + u(t),
 y(t) = Re(C x(t)) + D u(t) is discretized by zero-order hold at step
 dt and then applied to length-L sequences either as a stepwise
 recurrence (``scan``, the reference path) or as a causal convolution
 with the materialized impulse-response kernel (``convolve``, the
 trained path). The two are numerically equivalent, which the tests
-exploit heavily.
+exploit heavily. The input matrix is fixed at B = 1 (S4D): any other
+constant B folds into C, so it is neither stored nor trained.
 
 Storage convention: state entries come in conjugate pairs, and only
 the upper half-plane member of each pair is stored. With that
@@ -33,16 +34,13 @@ class SsmParams:
     """Trainable continuous-time parameters of one directional SSM.
 
     The real part of Lambda is parameterized as -exp(log_neg_re) so the
-    system is stable for every parameter value. ``init_s4d`` freezes B
-    at 1+0i (its effect folds into C) and trains the imaginary part of
-    Lambda. All buffers have length n_state, which counts
-    stored (half-pair) entries.
+    system is stable for every parameter value. B is 1 and not stored.
+    All buffers have length n_state, which counts stored (half-pair)
+    entries.
     """
 
     log_neg_re: Tensor
     im: Tensor
-    b_re: Tensor
-    b_im: Tensor
     c_re: Tensor
     c_im: Tensor
     log_dt: Tensor
@@ -52,7 +50,7 @@ class SsmParams:
         n = self.log_neg_re.shape[0]
         if n < 1:
             raise ValueError("SsmParams needs at least one state")
-        for name in ("im", "b_re", "b_im", "c_re", "c_im"):
+        for name in ("im", "c_re", "c_im"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"SsmParams field {name} must have shape ({n},)")
 
@@ -104,10 +102,10 @@ def init_s4d(n_state: int, dt_min: float = DT_MIN_DEFAULT,
     """Diagonal-linear initialization.
 
     Stored (half-pair) entries are Lambda_n = -1/2 + i*pi*n for
-    n = 0..n_state/2 - 1; B = 1; C has unit-normal re/im components;
-    log_dt is uniform in [log dt_min, log dt_max]; the skip D starts
-    at 1. B is frozen; every other field is trainable. n_state counts
-    full conjugate pairs and must be even.
+    n = 0..n_state/2 - 1; C has unit-normal re/im components; log_dt
+    is uniform in [log dt_min, log dt_max]; the skip D starts at 1.
+    Every field is trainable. n_state counts full conjugate pairs and
+    must be even.
     """
     if n_state % 2 != 0 or n_state < 2:
         raise ValueError(f"n_state must be even and >= 2, got {n_state}")
@@ -118,21 +116,20 @@ def init_s4d(n_state: int, dt_min: float = DT_MIN_DEFAULT,
     half = n_state // 2
     log_neg_re = Tensor(np.full(half, np.log(0.5)), requires_grad=True)
     im = Tensor(np.pi * np.arange(half, dtype=np.float64), requires_grad=True)
-    b_re = Tensor(np.ones(half))
-    b_im = Tensor(np.zeros(half))
     c_re = Tensor(rng.normal((half,)), requires_grad=True)
     c_im = Tensor(rng.normal((half,)), requires_grad=True)
     log_dt = Tensor(rng.uniform(None, np.log(dt_min), np.log(dt_max)),
                     requires_grad=True)
     d = Tensor(1.0, requires_grad=True)
-    return SsmParams(log_neg_re, im, b_re, b_im, c_re, c_im, log_dt, d)
+    return SsmParams(log_neg_re, im, c_re, c_im, log_dt, d)
 
 
 def discretize(p: SsmParams) -> DiscreteSsm:
-    """Zero-order-hold: a_bar = exp(dt*Lambda), b_bar = (a_bar-1)/Lambda * B.
+    """Zero-order-hold: a_bar = exp(dt*Lambda), b_bar = (a_bar-1)/Lambda.
 
-    Exact for a diagonal system, and differentiable with respect to
-    every field of the parameters.
+    b_bar is the hold of the unit input matrix B = 1. Exact for a
+    diagonal system, and differentiable with respect to every field of
+    the parameters.
     """
     dt = T.texp(p.log_dt)
     lam_re = T.neg(T.texp(p.log_neg_re))
@@ -148,9 +145,7 @@ def discretize(p: SsmParams) -> DiscreteSsm:
     den = T.add(T.mul(lam_re, lam_re), T.mul(lam_im, lam_im))
     q_re = T.div(T.add(T.mul(num_re, lam_re), T.mul(num_im, lam_im)), den)
     q_im = T.div(T.sub(T.mul(num_im, lam_re), T.mul(num_re, lam_im)), den)
-    b_re = T.sub(T.mul(q_re, p.b_re), T.mul(q_im, p.b_im))
-    b_im = T.add(T.mul(q_re, p.b_im), T.mul(q_im, p.b_re))
-    return DiscreteSsm(a_re, a_im, b_re, b_im, p.c_re, p.c_im, p.d)
+    return DiscreteSsm(a_re, a_im, q_re, q_im, p.c_re, p.c_im, p.d)
 
 
 def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:

@@ -9,7 +9,6 @@ from gatedssm import ssm as S
 from gatedssm.model import (
     AttentionParams,
     ModelConfig,
-    count_allocated,
     dropout,
     flip,
     forward_mlm,
@@ -42,7 +41,6 @@ def near_identity_ssm() -> S.SsmParams:
     return S.SsmParams(
         log_neg_re=Tensor(np.array([np.log(40.0)])),
         im=Tensor(np.zeros(1)),
-        b_re=Tensor(np.ones(1)), b_im=Tensor(np.zeros(1)),
         c_re=Tensor(np.array([20.0])), c_im=Tensor(np.zeros(1)),
         log_dt=Tensor(np.array(0.0)), d=Tensor(np.array(0.0)),
     )
@@ -257,10 +255,10 @@ def test_gated_block_bidirectional_coverage():
 
 
 def test_gated_block_forward_branch_is_causal():
-    # Probe configuration: no entry norm, backward branch forced to a
-    # constant via a zero weight and a nonzero bias. The only remaining
-    # input-dependent paths run strictly left to right plus a local
-    # residual, so future perturbations cannot reach earlier rows.
+    # Backward branch forced to a constant via a zero weight and a
+    # nonzero bias. The entry norm works row by row, so the only
+    # remaining input-dependent paths run strictly left to right plus a
+    # local residual, and future perturbations cannot reach earlier rows.
     cfg = toy_config(use_bias=True)
     blk = init_model(cfg, Rng(16)).blocks[0]
     blk.w_b.data[:] = 0.0
@@ -268,11 +266,11 @@ def test_gated_block_forward_branch_is_causal():
     L = 8
     x = Rng(17).normal((L, cfg.d_model))
     with no_grad():
-        base = gated_block(Tensor(x), blk, skip_input_norm=True).data
+        base = gated_block(Tensor(x), blk).data
         for j in range(1, L):
             pert = x.copy()
             pert[j] += 1.0
-            out = gated_block(Tensor(pert), blk, skip_input_norm=True).data
+            out = gated_block(Tensor(pert), blk).data
             assert np.max(np.abs(out[:j] - base[:j])) < 1e-12
             assert np.max(np.abs(out[j:] - base[j:])) > 1e-9
 
@@ -571,7 +569,7 @@ def test_param_count_matches_allocation_all_variants():
                                  use_bias=use_bias, n_heads=2)
                 params = init_model(cfg, Rng(54))
                 want = param_count(cfg)["total"]
-                got = count_allocated(params)
+                got = sum(t.data.size for _, t in params.named_parameters())
                 assert got == want, (arch, routing, use_bias, got, want)
 
 
@@ -602,8 +600,7 @@ def test_named_parameters_stable_order():
 def test_named_parameters_pinned_order():
     # Checkpoints and AdamW state are keyed by these names, in this order.
     gated = init_model(toy_config(n_layers=1, use_bias=True), Rng(57))
-    ssm = ["log_neg_re", "im", "b_re", "b_im", "c_re", "c_im", "log_dt",
-           "d"]
+    ssm = ["log_neg_re", "im", "c_re", "c_im", "log_dt", "d"]
     want = (
         ["embeddings.token_table", "embeddings.head_transform",
          "embeddings.head_transform_bias", "embeddings.head_ln_gain",

@@ -1,5 +1,7 @@
 """State-space core: discretization, kernels, scan/convolve duality."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import check_grads
@@ -23,8 +25,6 @@ def random_params(rng: Rng, n: int) -> SsmParams:
     return SsmParams(
         log_neg_re=Tensor(rng.normal((n,), std=0.5), requires_grad=True),
         im=Tensor(rng.normal((n,), std=2.0), requires_grad=True),
-        b_re=Tensor(rng.normal((n,), std=0.5)),
-        b_im=Tensor(rng.normal((n,), std=0.5)),
         c_re=Tensor(rng.normal((n,)), requires_grad=True),
         c_im=Tensor(rng.normal((n,)), requires_grad=True),
         log_dt=Tensor(rng.uniform(None, np.log(0.01), np.log(0.5)),
@@ -42,8 +42,6 @@ def test_init_s4d_lambda_values():
     lam_re = -np.exp(p.log_neg_re.data)
     np.testing.assert_allclose(lam_re, -0.5, atol=1e-15)
     np.testing.assert_allclose(p.im.data, np.pi * np.arange(4), atol=1e-15)
-    np.testing.assert_allclose(p.b_re.data, 1.0)
-    np.testing.assert_allclose(p.b_im.data, 0.0)
     assert float(p.d.data) == 1.0
 
 
@@ -69,10 +67,10 @@ def test_init_s4d_dt_range_sampling():
     assert max(samples) - min(samples) > 0.9 * (hi - lo)
 
 
-def test_init_s4d_b_frozen_by_default():
+def test_init_s4d_every_field_trainable():
     p = init_s4d(4, rng=Rng(3))
-    assert not p.b_re.requires_grad and not p.b_im.requires_grad
-    assert p.im.requires_grad
+    for f in fields(p):
+        assert getattr(p, f.name).requires_grad, f.name
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +81,6 @@ def test_discretize_closed_form_real_case():
     # Lambda = -1, dt = ln 2, B = 1: a = exp(-ln 2) = 0.5, b = 0.5.
     p = SsmParams(
         log_neg_re=Tensor(np.zeros(1)), im=Tensor(np.zeros(1)),
-        b_re=Tensor(np.ones(1)), b_im=Tensor(np.zeros(1)),
         c_re=Tensor(np.ones(1)), c_im=Tensor(np.zeros(1)),
         log_dt=Tensor(np.log(np.log(2.0))), d=Tensor(0.0),
     )
@@ -101,7 +98,7 @@ def test_discretize_matches_complex_exponential():
     lam = -np.exp(p.log_neg_re.data) + 1j * p.im.data
     dt = np.exp(float(p.log_dt.data))
     a = np.exp(dt * lam)
-    b = (a - 1.0) / lam * (p.b_re.data + 1j * p.b_im.data)
+    b = (a - 1.0) / lam
     np.testing.assert_allclose(d.a_re.data, a.real, atol=1e-12)
     np.testing.assert_allclose(d.a_im.data, a.imag, atol=1e-12)
     np.testing.assert_allclose(d.b_re.data, b.real, atol=1e-12)
@@ -112,17 +109,15 @@ def test_discretize_small_dt_limit():
     p = SsmParams(
         log_neg_re=Tensor(np.array([np.log(2.0)])),
         im=Tensor(np.array([3.0])),
-        b_re=Tensor(np.array([1.5])), b_im=Tensor(np.array([-0.5])),
         c_re=Tensor(np.ones(1)), c_im=Tensor(np.zeros(1)),
         log_dt=Tensor(np.log(1e-8)), d=Tensor(0.0),
     )
     d = discretize(p)
     assert float(d.a_re.data[0]) == pytest.approx(1.0, abs=1e-7)
-    # b_bar -> dt * B to first order.
-    np.testing.assert_allclose(
-        [float(d.b_re.data[0]), float(d.b_im.data[0])],
-        [1.5e-8, -0.5e-8], rtol=1e-6,
-    )
+    # b_bar -> dt to first order; its imaginary part, dt^2 * Im(Lambda) / 2,
+    # is second order.
+    assert float(d.b_re.data[0]) == pytest.approx(1e-8, rel=1e-6)
+    assert abs(float(d.b_im.data[0])) < 1e-15
 
 
 def test_discretize_stability():
@@ -322,6 +317,20 @@ def test_ssm_apply_matches_per_column_scan():
     for col in range(4):
         want = scan(no_skip, x[:, col]) + float(p.d.data) * x[:, col]
         np.testing.assert_allclose(got[:, col], want, atol=1e-9)
+
+
+def test_ssm_apply_tape_node_count():
+    # Pins the tape one application records when only the SSM
+    # parameters need gradients: 54 nodes, 50 of them for the kernel.
+    p = init_s4d(8, rng=Rng(71))
+    out = ssm_apply(p, Tensor(Rng(72).normal((2, 16, 3))))
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if t.node is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.node.inputs)
+    assert len(seen) == 54
 
 
 def test_ssm_apply_batched_matches_unbatched():

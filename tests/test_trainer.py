@@ -7,6 +7,7 @@ import pytest
 
 import gatedssm.numerics.tensor as T
 import gatedssm.pretrain.trainer as trainer
+from gatedssm.checkpoint import load_checkpoint, save_checkpoint
 from gatedssm.model import ModelConfig, forward_mlm, init_model
 from gatedssm.numerics import Rng, backward, derive_seed
 from gatedssm.pretrain import (
@@ -121,6 +122,16 @@ def test_prepare_shards_different_seed_differs(tmp_path):
     assert raw_a != raw_b
 
 
+@pytest.mark.parametrize("fraction", [0.15, 0.3, 0.4, 0.45])
+def test_prepare_shards_realizes_holdout_fraction(tmp_path, fraction):
+    corpus = str(tmp_path / "c.txt")
+    generate_corpus(corpus, n_docs=30, doc_len=120, n_words=48, seed=9)
+    info = prepare_shards(corpus, str(tmp_path / "out"), vocab_size=64,
+                          seq_len=8, holdout_fraction=fraction)
+    h_ids, _ = load_split(info["heldout_paths"])
+    assert abs(len(h_ids) - fraction * info["n_chunks"]) <= 1
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_shards", 0), ("n_shards", -1), ("holdout_fraction", 0.7),
     ("holdout_fraction", 1.0), ("holdout_fraction", -0.1),
@@ -232,7 +243,24 @@ def test_final_checkpoint_reproduces_eval(tmp_path):
     assert ppl1 == pytest.approx(np.exp(loss1))
 
 
-def test_resume_is_bit_exact(tmp_path):
+def store_b(ckpt: str, b_re: float = 1.0) -> None:
+    """Rewrite a run checkpoint as it was written while SsmParams stored
+    the input matrix B: `b_re` and `b_im` entries after each SSM's `im`."""
+    entries, meta = load_checkpoint(ckpt)
+    out = []
+    for name, arr in entries.items():
+        out.append((name, arr))
+        if ".ssm_" in name and name.endswith(".im") \
+                and not name.startswith("adam_"):
+            stem = name[:-len("im")]
+            out.append((stem + "b_re", np.full(arr.shape, b_re)))
+            out.append((stem + "b_im", np.zeros(arr.shape)))
+    save_checkpoint(ckpt, out, meta=meta)
+
+
+def check_resume_is_bit_exact(tmp_path, edit_checkpoint=None):
+    """Train 10 steps, resume from the step-5 checkpoint (after
+    `edit_checkpoint` rewrites it), and compare the two runs."""
     ids, labels = toy_data(32, seed=6)
     cfg = toy_cfg()
     tc = TrainConfig(steps=10, batch_size=4, peak_lr=2e-3, seed=7,
@@ -242,6 +270,8 @@ def test_resume_is_bit_exact(tmp_path):
     mid = os.path.join(full_dir, "checkpoint-step-5")
     assert os.path.isdir(mid)
     assert not os.path.isdir(os.path.join(full_dir, "checkpoint-step-10"))
+    if edit_checkpoint is not None:
+        edit_checkpoint(mid)
 
     params, optimizer, meta = load_run_checkpoint(mid)
     resumed_dir = str(tmp_path / "resumed")
@@ -257,6 +287,23 @@ def test_resume_is_bit_exact(tmp_path):
         b = open(os.path.join(resumed_dir, FINAL_CHECKPOINT, name),
                  "rb").read()
         assert a == b, name
+
+
+def test_resume_is_bit_exact(tmp_path):
+    check_resume_is_bit_exact(tmp_path)
+
+
+def test_resume_from_checkpoint_with_stored_b_is_bit_exact(tmp_path):
+    check_resume_is_bit_exact(tmp_path, store_b)
+
+
+def test_load_run_checkpoint_rejects_stored_b_other_than_one(tmp_path):
+    ckpt = checkpointed_toy_run(tmp_path)
+    store_b(ckpt, b_re=0.5)
+    with pytest.raises(ValueError,
+                       match=r"'blocks\.0\.ssm_fwd\.b_re'") as err:
+        load_run_checkpoint(ckpt)
+    assert "\n" not in str(err.value)
 
 
 def test_resume_into_same_dir_keeps_loss_csv_identical(tmp_path):
