@@ -13,7 +13,10 @@ Shared flags: --config JSON file, --seed, --out directory, and
 repeatable --set section.key=value overrides (values parse as JSON when
 possible). Every run writes the fully resolved configuration to
 <out>/config.json so artifacts are reproducible from the snapshot
-alone. Errors exit nonzero with a one-line message on stderr.
+alone. The snapshot is written once the command has checked its
+inputs, so a command that fails on bad arguments leaves no output
+directory behind. Errors exit nonzero with a one-line message on
+stderr.
 """
 
 from __future__ import annotations
@@ -103,12 +106,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _write_snapshot(args: argparse.Namespace, cfg: dict,
-                    inputs: dict) -> None:
+def _start_output(args: argparse.Namespace, cfg: dict) -> None:
+    """Create --out and write the config snapshot into it.
+
+    Each command calls this after checking its inputs and before it
+    writes anything else.
+    """
+    os.makedirs(args.out, exist_ok=True)
     snapshot = dict(cfg)
     snapshot["command"] = args.command
     snapshot["out"] = args.out
-    snapshot["inputs"] = inputs
+    snapshot["inputs"] = {key: getattr(args, key)
+                          for key in ("corpus", "data", "checkpoint")
+                          if hasattr(args, key)}
     path = os.path.join(args.out, "config.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(snapshot, f, indent=2, sort_keys=True)
@@ -166,6 +176,7 @@ def cmd_prepare(args, cfg) -> None:
         n_shards=int(opts["n_shards"]),
         holdout_fraction=float(opts["holdout_fraction"]),
     )
+    _start_output(args, cfg)
     stats = dict(info["stats"])
     stats["vocab_size"] = info["vocab_size"]
     stats["n_chunks"] = info["n_chunks"]
@@ -186,6 +197,7 @@ def cmd_train(args, cfg) -> None:
     ids, labels = train
     model_cfg = _model_config(cfg, len(vocab), ids.shape[1])
     train_cfg = _train_config(cfg)
+    _start_output(args, cfg)
     history = train_mlm(model_cfg, train_cfg, ids, labels, args.out)
     print(f"trained {len(history)} steps; first loss {history[0][2]:.4f}, "
           f"last loss {history[-1][2]:.4f}")
@@ -204,6 +216,7 @@ def cmd_extend(args, cfg) -> None:
                                  need_heldout=False)
     ids, labels = train
     opts = cfg["train"]
+    _start_output(args, cfg)
     history, new_cfg = continue_pretrain(
         args.checkpoint, ids.shape[1], ids, labels,
         steps=int(opts.get("steps", 100)),
@@ -230,6 +243,7 @@ def cmd_eval(args, cfg) -> None:
                                    need_heldout=True)
     params, _, _ = load_run_checkpoint(args.checkpoint)
     loss, ppl = eval_mlm(params.config, params, *heldout)
+    _start_output(args, cfg)
     _write_eval(args.out, loss, ppl, len(heldout[0]))
     print(f"heldout loss {loss:.4f}, perplexity {ppl:.2f} "
           f"over {len(heldout[0])} sequences")
@@ -238,6 +252,7 @@ def cmd_eval(args, cfg) -> None:
 def cmd_dump_kernels(args, cfg) -> None:
     params, _, _ = load_run_checkpoint(args.checkpoint)
     dump = dump_kernels(params)
+    _start_output(args, cfg)
     path = os.path.join(args.out, "kernels.csv")
     sidecar = write_kernel_csv(dump, path)
     print(f"wrote {len(dump.kernels)} kernels "
@@ -264,6 +279,7 @@ def cmd_flops(args, cfg) -> None:
         s = flop_estimate(stacked, length)
         reports.extend((g, s))
         rows.append((length, g.total, s.total, g.total / s.total))
+    _start_output(args, cfg)
     path = os.path.join(args.out, "flops.csv")
     write_flop_csv(reports, path)
     print(f"{'length':>8} {'kernel-routed':>15} {'attention':>15} "
@@ -334,13 +350,7 @@ HANDLERS = {
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve(args)
-        os.makedirs(args.out, exist_ok=True)
-        inputs = {key: getattr(args, key)
-                  for key in ("corpus", "data", "checkpoint")
-                  if hasattr(args, key)}
-        _write_snapshot(args, cfg, inputs)
-        HANDLERS[args.command](args, cfg)
+        HANDLERS[args.command](args, _resolve(args))
     except Exception as exc:  # surface as exit status, not traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

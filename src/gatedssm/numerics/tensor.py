@@ -248,8 +248,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def rule(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (_unbroadcast(g * b.data, a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape)
+                if b.requires_grad else None)
 
     return _record("mul", data, (a, b), rule)
 
@@ -259,8 +261,10 @@ def div(a, b) -> Tensor:
     data = a.data / b.data
 
     def rule(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape)
+                if a.requires_grad else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+                if b.requires_grad else None)
 
     return _record("div", data, (a, b), rule)
 
@@ -329,12 +333,24 @@ def gelu(a) -> Tensor:
     finite-difference checks hold to tight tolerances.
     """
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + _erf(a.data / _SQRT2))
+    # 0.5 * (1 + erf(x / sqrt 2)) and, below, g * (cdf + x * pdf) with
+    # pdf = exp(-x * x / 2) / sqrt(2 pi), each built in one buffer: the
+    # same IEEE operations in the same order, without the temporaries.
+    cdf = a.data / _SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     data = a.data * cdf
 
     def rule(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * a.data * a.data)
-        return (g * (cdf + a.data * pdf),)
+        grad = a.data * -0.5
+        grad *= a.data
+        np.exp(grad, out=grad)
+        grad *= _INV_SQRT_2PI
+        grad *= a.data
+        grad += cdf
+        grad *= g
+        return (grad,)
 
     return _record("gelu", data, (a,), rule)
 
@@ -508,6 +524,8 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # sequence convolution
 
+# Block length of both convolutions: ``causal_conv``'s Toeplitz blocks
+# and ``ssm_conv``'s chunks.
 CONV_BLOCK = 256
 
 
@@ -533,7 +551,9 @@ def _windows(x: np.ndarray, count: int, width: int, step: int) -> np.ndarray:
     The view is built directly rather than by ``sliding_window_view``,
     whose checks cost more than a small convolution's GEMMs.
     """
-    assert (count - 1) * step + width <= x.shape[0]
+    if (count - 1) * step + width > x.shape[0]:
+        raise ValueError(f"{count} windows of {width} at step {step} do not "
+                         f"fit in {x.shape[0]} entries")
     s = x.strides[0]
     return as_strided(x, (count, width), (step * s, s), writeable=False)
 
@@ -627,27 +647,137 @@ def causal_conv(taps, u) -> Tensor:
         # The blocks go before the tap gradient allocates its buffer, so
         # the two never coexist.
         del blocks
-        ub = _to_blocks(u.data, nb, b)
-        # gtaps[k*b + d] sums diagonal d of P_k = U[:nb-k].T @ G[k:],
-        # for d in (-b, b). P_k sits in the last b columns of rows of
-        # 2b - 1 entries, with one spare row of zeros below. The window
-        # of 2b - 1 entries starting at flat offset 2b * p then holds
-        # diagonals -(b-1) .. b-1 of row p in order (the entries past
-        # the row end fall in the next row's zero padding), so summing
-        # these windows sums every diagonal. Block 0 has no negative
-        # lags, so its windows start at the diagonal.
-        gtaps = np.zeros((nb + 1) * b)
-        prod = np.zeros((b + 1, 2 * b - 1))
-        flat = prod.ravel()
-        for k in range(nb):
-            np.matmul(ub[:(nb - k) * rows].T, gb[k * rows:],
-                      out=prod[:b, b - 1:])
-            lo = b - 1 if k == 0 else 0
-            windows = _windows(flat[lo:], b, 2 * b - 1 - lo, 2 * b)
-            gtaps[k * b + lo:(k + 2) * b - 1] += windows.sum(axis=0)
-        return gtaps[b - 1:b - 1 + L], _from_blocks(gu, shape)
+        gtaps = _tap_grad(_to_blocks(u.data, nb, b), gb, nb, b)
+        return gtaps[:L], _from_blocks(gu, shape)
 
     return _record("causal_conv", data, (taps, u), rule)
+
+
+def _tap_grad(ub: np.ndarray, gb: np.ndarray, nb: int, b: int) -> np.ndarray:
+    """Tap gradient of the block-major convolution: entry l is the
+    gradient of taps[l], for l < nb * b + 1.
+
+    gtaps[k*b + d] sums diagonal d of P_k = U[:nb-k].T @ G[k:], for d in
+    (-b, b). P_k sits in the last b columns of rows of 2b - 1 entries,
+    with one spare row of zeros below. The window of 2b - 1 entries
+    starting at flat offset 2b * p then holds diagonals -(b-1) .. b-1 of
+    row p in order (the entries past the row end fall in the next row's
+    zero padding), so summing these windows sums every diagonal. Block 0
+    has no negative lags, so its windows start at the diagonal.
+    """
+    rows = ub.shape[0] // nb
+    gtaps = np.zeros((nb + 1) * b)
+    prod = np.zeros((b + 1, 2 * b - 1))
+    flat = prod.ravel()
+    for k in range(nb):
+        np.matmul(ub[:(nb - k) * rows].T, gb[k * rows:], out=prod[:b, b - 1:])
+        lo = b - 1 if k == 0 else 0
+        windows = _windows(flat[lo:], b, 2 * b - 1 - lo, 2 * b)
+        gtaps[k * b + lo:(k + 2) * b - 1] += windows.sum(axis=0)
+    return gtaps[b - 1:]
+
+
+def _as_real(c: np.ndarray) -> np.ndarray:
+    """Complex (..., n) as real (..., 2n): re and im interleaved.
+
+    A product with the real view of an (m, n) complex matrix is one real
+    GEMM whose output is again the interleaved view of a complex array,
+    which ``.view(np.complex128)`` reads back.
+    """
+    return np.ascontiguousarray(c).view(np.float64)
+
+
+def ssm_conv(taps, log_mag, arg, w_re, w_im, u) -> Tensor:
+    """Causal convolution of u (..., L) with the kernel of a diagonal SSM.
+
+    The kernel is K[l] = 2 Re sum_n w_n a_n^l with a_n = exp(log_mag_n +
+    i arg_n), |a_n| < 1; taps holds K[0 .. b-1] for b = min(L,
+    CONV_BLOCK). Within each chunk of b entries the output is the dense
+    (b, b) Toeplitz product of ``causal_conv``'s single block; with
+    L <= CONV_BLOCK that is the whole convolution, bit for bit. Across
+    chunks every lag factors as K[(k-j)b + q - p] = 2 Re sum_n w_n
+    a^(q+1) a^((k-j-1)b) a^(b-1-p), so chunk k receives the states
+    S_k = sum_(j<k) a^((k-1-j)b) h_j carried over the earlier chunks'
+    states h_j = U_j V, V[p] = a^(b-1-p): S_k = a^b S_(k-1) + h_(k-1),
+    then Y_k += Re(S_k W) with W[n, q] = 2 w_n a_n^(q+1). Only
+    non-negative powers of a appear. This is the chunked form of the
+    state-space duality (Dao & Gu 2024, arXiv 2405.21060) on the
+    Vandermonde kernel of S4D.
+
+    Backward runs the input gradient through the same structure
+    anti-causally and reaches log_mag, arg and w through the identities
+    d a^m / d log_mag = m a^m and d a^m / d arg = i m a^m, so no tap
+    gradient is formed beyond lag b.
+    """
+    taps, log_mag, arg, w_re, w_im, u = (
+        as_tensor(t) for t in (taps, log_mag, arg, w_re, w_im, u))
+    shape = u.data.shape
+    L = shape[-1]
+    b = min(L, CONV_BLOCK)
+    if taps.data.shape != (b,):
+        raise ValueError(f"ssm_conv needs {b} taps for length {L}, got "
+                         f"shape {taps.data.shape}")
+    nb = -(-L // b)
+    ub = _to_blocks(u.data, nb, b)
+    rows = ub.shape[0] // nb
+    out = np.matmul(ub, _toeplitz_blocks(taps.data, 1, b)[0])
+    if nb > 1:
+        n = log_mag.data.shape[0]
+        steps = np.arange(b + 1, dtype=np.float64)[:, None]
+        powers = np.exp(steps * (log_mag.data + 1j * arg.data))  # a^0..a^b
+        decay = powers[b]
+        w2 = 2.0 * (w_re.data + 1j * w_im.data)
+        v = powers[b - 1::-1]                       # V[p] = a^(b-1-p)
+        # states[k] is S_(k+1): the carry into chunk k + 1.
+        states = (ub[:-rows] @ _as_real(v)).view(np.complex128)
+        states = states.reshape(nb - 1, rows, n)
+        for k in range(1, nb - 1):
+            states[k] += decay * states[k - 1]
+        out[rows:] += (_as_real(states).reshape(-1, 2 * n)
+                       @ _as_real(np.conj(w2 * powers[1:])).T)
+    data = _from_blocks(out, shape)
+
+    def rule(g):
+        gb = _to_blocks(g, nb, b)
+        block = _toeplitz_blocks(taps.data, 1, b)[0]
+        gu = np.matmul(gb, block.T)
+        del block
+        ub = _to_blocks(u.data, nb, b)
+        gtaps = _tap_grad(ub, gb, 1, b)[:b]
+        if nb == 1:
+            return gtaps, _from_blocks(gu, shape)
+        # E_k = G_k A1 and E'_k = G_k (m A1) with A1[q] = a^(q+1), m = q+1:
+        # the readout side of every cross-chunk lag, plain and weighted.
+        ramp = np.concatenate((powers[1:], steps[1:] * powers[1:]), axis=1)
+        e_all = (gb[rows:] @ _as_real(ramp)).view(np.complex128)
+        e, e_ramp = e_all[:, :n], e_all[:, n:]
+        # Input gradient: T_j = sum_(k>j) a^((k-1-j)b) w2 E_k, the carry
+        # run backward over chunks, read out through V.
+        back = (w2 * e).reshape(nb - 1, rows, n)
+        for k in range(nb - 3, -1, -1):
+            back[k] += decay * back[k + 1]
+        gu[:-rows] += (_as_real(back).reshape(-1, 2 * n)
+                       @ _as_real(np.conj(v)).T)
+        del back
+        # The state side weighted by its age m: S'_k = sum_(j<k)
+        # sum_p u_j[p] m a^m with m = (k-1-j)b + b-1-p, carried as
+        # S'_k = a^b (S'_(k-1) + b S_(k-1)) + h'_(k-1), h'_j = U_j (m V).
+        aged = (ub[:-rows] @ _as_real(steps[b - 1::-1] * v))
+        aged = aged.view(np.complex128).reshape(nb - 1, rows, n)
+        for k in range(1, nb - 1):
+            aged[k] += decay * (aged[k - 1] + b * states[k - 1])
+        flat = states.reshape(-1, n)
+        f = (e * flat).sum(axis=0)
+        f_ramp = (e_ramp * flat + e * aged.reshape(-1, n)).sum(axis=0)
+        # loss = Re sum_n w2_n F_n with F_n = sum G u a^m; F' weighs by m.
+        dz = w2 * f_ramp
+        return (gtaps, _from_blocks(gu, shape), dz.real, -dz.imag,
+                2.0 * f.real, -2.0 * f.imag)
+
+    # A single chunk is causal_conv's single block, down to the tape:
+    # the same inputs give the same backward order, so the same bits.
+    inputs = (taps, u) if nb == 1 else (taps, u, log_mag, arg, w_re, w_im)
+    return _record("ssm_conv", data, inputs, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,9 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     if not 0.0 <= holdout_fraction <= 0.5:
         raise ValueError(
             f"holdout_fraction must lie in [0, 0.5], got {holdout_fraction}")
-    os.makedirs(out_dir, exist_ok=True)
     with open(corpus_path, "r", encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f]
+    os.makedirs(out_dir, exist_ok=True)
     vocab = build_vocab(lines, vocab_size)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     chunks = chunk_corpus(lines, vocab, seq_len)

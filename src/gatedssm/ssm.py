@@ -2,12 +2,14 @@
 
 A continuous-time linear system x'(t) = diag(Lambda) x(t) + u(t),
 y(t) = Re(C x(t)) + D u(t) is discretized by zero-order hold at step
-dt and then applied to length-L sequences either as a stepwise
-recurrence (``scan``, the reference path) or as a causal convolution
-with the materialized impulse-response kernel (``convolve``, the
-trained path). The two are numerically equivalent, which the tests
-exploit heavily. The input matrix is fixed at B = 1 (S4D): any other
-constant B folds into C, so it is neither stored nor trained.
+dt and then applied to length-L sequences in one of three numerically
+equivalent ways, which the tests set against each other: as a stepwise
+recurrence (``scan``, the reference), as a causal convolution with
+the materialized impulse-response kernel (``convolve``), or, in
+``ssm_apply``, the trained path, as dense convolution within chunks
+and a carried state across them (``tensor.ssm_conv``). The input
+matrix is fixed at B = 1 (S4D): any other constant B folds into C, so
+it is neither stored nor trained.
 
 Storage convention: state entries come in conjugate pairs, and only
 the upper half-plane member of each pair is stored. With that
@@ -148,14 +150,16 @@ def discretize(p: SsmParams) -> DiscreteSsm:
     return DiscreteSsm(a_re, a_im, q_re, q_im, p.c_re, p.c_im, p.d)
 
 
-def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
-    """Impulse-response taps: taps[l] = 2 Re sum_n c_n * a_n^l * b_n.
+def kernel_parts(d: DiscreteSsm, length: int) -> tuple:
+    """The taps for lags 0 .. length-1 and what they are built from.
 
-    Powers are evaluated in the diagonal (Vandermonde) form
-    a^l = exp(l * log a) rather than by repeated multiplication; the
-    principal branch of the complex log is exact here because l is an
-    integer. The doubling is the conjugate-pair storage convention.
-    Returns the (length,) taps.
+    Returns (taps, log|a|, arg a, w_re, w_im): taps[l] = 2 Re sum_n
+    w_n a_n^l with w = c * b, a_n = exp(log|a_n| + i arg a_n). Powers
+    are evaluated in the diagonal (Vandermonde) form a^l = exp(l log a)
+    rather than by repeated multiplication; the principal branch of the
+    complex log is exact here because l is an integer. The doubling is
+    the conjugate-pair storage convention. ``ssm_conv`` takes all five,
+    so the kernel's longer lags are never materialized.
     """
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
@@ -173,7 +177,16 @@ def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
     w_im = T.add(T.mul(d.c_re, d.b_im), T.mul(d.c_im, d.b_re))
     taps = T.sub(T.matmul(T.reshape(w_re, (1, n)), p_re),
                  T.matmul(T.reshape(w_im, (1, n)), p_im))
-    return T.reshape(T.mul(2.0, taps), (length,))
+    return (T.reshape(T.mul(2.0, taps), (length,)), log_mag, arg, w_re,
+            w_im)
+
+
+def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
+    """Impulse-response taps: taps[l] = 2 Re sum_n c_n * a_n^l * b_n.
+
+    Returns the (length,) taps of ``kernel_parts``.
+    """
+    return kernel_parts(d, length)[0]
 
 
 def scan(d: DiscreteSsm, u: np.ndarray) -> np.ndarray:
@@ -213,17 +226,18 @@ def convolve(taps, d_skip, u) -> Tensor:
 def ssm_apply(p: SsmParams, x: Tensor) -> Tensor:
     """Apply one SSM to every feature column of a sequence.
 
-    x has shape (L, d) or (B, L, d); a single kernel is materialized at
-    the sequence length and convolved independently with each column
-    (all columns share the parameterization, so they share the kernel).
+    x has shape (L, d) or (B, L, d); every column is convolved with the
+    same kernel (all columns share the parameterization). ``ssm_conv``
+    takes the taps of the lags below its chunk length and carries the
+    state across chunks for the rest.
     """
     x = T.as_tensor(x)
     if x.ndim not in (2, 3):
         raise ValueError(f"ssm_apply expects (L, d) or (B, L, d), got {x.shape}")
     length = x.shape[-2]
-    taps = materialize_kernel(discretize(p), length)
+    parts = kernel_parts(discretize(p), min(length, T.CONV_BLOCK))
     axes = (1, 0) if x.ndim == 2 else (0, 2, 1)
     cols = T.transpose(x, axes)  # (..., d, L)
-    y = T.causal_conv(taps, cols)
+    y = T.ssm_conv(*parts, cols)
     y = T.transpose(y, axes)
     return T.add(y, T.mul(p.d, x))

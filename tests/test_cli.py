@@ -94,6 +94,21 @@ def test_prepare_rejects_zero_shards(tmp_path, corpus, capsys):
     assert err.startswith("error: n_shards") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["prepare", "{corpus}", "--set", "prepare.n_shards=0"],
+    ["prepare", "{tmp}/missing.txt"],
+    ["train", "{tmp}/missing"],
+    ["eval", "{tmp}/nockpt", "{tmp}/missing"],
+    ["flops", "--set", "novalue"],
+], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
+        "eval-no-checkpoint", "flops-bad-set"])
+def test_failed_command_leaves_no_output_dir(tmp_path, corpus, argv):
+    out = tmp_path / "out"
+    argv = [a.format(corpus=corpus, tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_train_eval_extend_dump_pipeline(tmp_path, corpus, capsys):
     data = prepared_dir(tmp_path, corpus, "data", seq_len=32)
     run = str(tmp_path / "run")

@@ -119,6 +119,20 @@ def test_dropout_replayable_and_scaled():
     assert 0.55 < kept.mean() < 0.85
 
 
+def test_dropout_gradient_is_mask_product_bit_for_bit():
+    # The keep mask is a constant operand of mul: its backward rule
+    # forms no gradient for it, and x gets exactly g * mask.
+    p, shape = 0.3, (4, 6, 5)
+    x = Tensor(Rng(80).normal(shape), requires_grad=True)
+    g = Rng(81).normal(shape)
+    y = dropout(x, p, Rng(82), train=True)
+    keep = (Rng(82).uniform(shape) >= p) / (1.0 - p)
+    np.testing.assert_array_equal(y.data, x.data * keep)
+    assert y.node.backward_rule(g)[1] is None
+    backward(T.tsum(T.mul(y, Tensor(g))))
+    np.testing.assert_array_equal(x.grad, g * keep)
+
+
 # ---------------------------------------------------------------------------
 # attention
 
@@ -623,3 +637,4 @@ def test_named_parameters_pinned_order():
         "blocks.0.attn.w_v", "blocks.0.attn.w_out",
     ]
     assert [n for n, _ in stacked.named_parameters()] == want
+

@@ -1,5 +1,6 @@
 """State-space core: discretization, kernels, scan/convolve duality."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from conftest import check_grads
 
 import gatedssm.numerics.tensor as T
-from gatedssm.numerics import Rng, Tensor, no_grad
+from gatedssm.numerics import Rng, Tensor, backward, no_grad
 from gatedssm.ssm import (
     DiscreteSsm,
     SsmParams,
@@ -374,3 +375,96 @@ def test_ssm_apply_gradients():
         ("log_neg_re", p.log_neg_re), ("im", p.im), ("c_re", p.c_re),
         ("c_im", p.c_im), ("log_dt", p.log_dt), ("d", p.d), ("x", x),
     ])
+
+
+# ---------------------------------------------------------------------------
+# chunked state-passing convolution
+
+CHUNK = T.CONV_BLOCK
+FIELDS = [f.name for f in fields(SsmParams)]
+
+
+def reference_apply(p: SsmParams, x: Tensor) -> Tensor:
+    """ssm_apply through the whole kernel and ``causal_conv``."""
+    axes = (1, 0) if x.ndim == 2 else (0, 2, 1)
+    taps = materialize_kernel(discretize(p), x.shape[-2])
+    y = T.transpose(T.causal_conv(taps, T.transpose(x, axes)), axes)
+    return T.add(y, T.mul(p.d, x))
+
+
+def output_and_grads(apply, p, x, w) -> list:
+    """apply(p, x) and the gradients of sum(w * out) for every field and x."""
+    leaves = [getattr(p, name) for name in FIELDS] + [x]
+    for t in leaves:
+        t.zero_grad()
+    out = apply(p, x)
+    backward(T.tsum(T.mul(out, w)))
+    return [out.data] + [t.grad.copy() for t in leaves]
+
+
+@pytest.mark.parametrize("L", [1, 2, 33, CHUNK])
+def test_ssm_apply_single_chunk_is_causal_conv_bit_for_bit(L):
+    rng = Rng(800 + L)
+    p = random_params(rng, 4)
+    x = Tensor(rng.normal((2, L, 3)), requires_grad=True)
+    w = Tensor(rng.normal((2, L, 3)))
+    got = output_and_grads(ssm_apply, p, x, w)
+    want = output_and_grads(reference_apply, p, x, w)
+    for name, a, b in zip(["out"] + FIELDS + ["x"], got, want):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@pytest.mark.parametrize("n_state", [8, 64])
+@pytest.mark.parametrize("L", [CHUNK + 1, 1000, 2048, 4096])
+def test_ssm_apply_matches_scan_across_chunks(L, n_state):
+    rng = Rng(900 + L + n_state)
+    p = init_s4d(n_state, rng=rng)
+    u = rng.normal((L,))
+    with no_grad():
+        got = ssm_apply(p, Tensor(u.reshape(L, 1))).data[:, 0]
+    gap = float(np.max(np.abs(got - scan(discretize(p), u))))
+    assert gap < 1e-8, f"gap {gap:.3e}"
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["L-d", "B-L-d"])
+@pytest.mark.parametrize("L", [7, 8, 9, 23, 29])
+def test_ssm_apply_chunked_gradients(L, batched, monkeypatch):
+    # 8-long chunks keep finite differences cheap: b - 1 (one chunk),
+    # b, b + 1, 2b + 7 and four chunks with a padded tail.
+    monkeypatch.setattr(T, "CONV_BLOCK", 8)
+    rng = Rng(1000 + L)
+    p = random_params(rng, 3)
+    shape = (2, L, 3) if batched else (L, 3)
+    x = Tensor(rng.normal(shape), requires_grad=True)
+    w = Tensor(rng.normal(shape))
+    got = output_and_grads(ssm_apply, p, x, w)
+    want = output_and_grads(reference_apply, p, x, w)
+    for name, a, b in zip(["out"] + FIELDS + ["x"], got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+    check_grads(lambda: T.tsum(T.mul(ssm_apply(p, x), w)),
+                [(name, getattr(p, name)) for name in FIELDS] + [("x", x)])
+
+
+def test_ssm_apply_memory_stays_below_the_toeplitz_blocks():
+    # One forward and backward at L = 2048 used to build all eight
+    # (256, 256) Toeplitz blocks of the kernel, 4 MiB, and peaked at
+    # 6.0 MiB; the chunked path only ever builds the first block.
+    L, cols = 2048, 8
+    rng = Rng(1100)
+    p = init_s4d(16, rng=rng)
+    x = Tensor(rng.normal((L, cols)), requires_grad=True)
+    w = Tensor(rng.normal((L, cols)))
+    tracemalloc.start()
+    try:
+        backward(T.tsum(T.mul(ssm_apply(p, x), w)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (L // CHUNK) * CHUNK * CHUNK * 8, \
+        f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_ssm_conv_rejects_wrong_tap_count():
+    n = np.zeros(2)
+    with pytest.raises(ValueError, match="taps"):
+        T.ssm_conv(np.zeros(CHUNK - 1), n, n, n, n, np.zeros((3, 2 * CHUNK)))

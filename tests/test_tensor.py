@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import check_grads, finite_difference_grad, rel_err
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import erf
 
 import gatedssm.numerics as nm
 from gatedssm.numerics import Rng, Tensor, backward, no_grad
@@ -151,6 +152,23 @@ def test_forward_is_bit_deterministic():
     a = nm.gelu(nm.matmul(x, x.transpose())).data
     b = nm.gelu(nm.matmul(x, x.transpose())).data
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7, 3), (2, 33, 5), (2, 64, 48)])
+def test_gelu_matches_erf_formula_bit_for_bit(shape):
+    # The op builds Phi and the gradient in place; these are the plain
+    # expressions it must reproduce exactly.
+    x = Tensor(Rng(40).normal(shape, std=3.0), requires_grad=True)
+    g = Rng(41).normal(shape)
+    a = x.data
+    cdf = 0.5 * (1.0 + erf(a / np.sqrt(2.0)))
+    pdf = float(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * a * a)
+    y = nm.gelu(x)
+    np.testing.assert_array_equal(y.data, a * cdf)
+    g_seen = g.copy()
+    (gx,) = y.node.backward_rule(g)
+    np.testing.assert_array_equal(gx, g * (cdf + a * pdf))
+    np.testing.assert_array_equal(g, g_seen)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +538,13 @@ def test_scan_matches_block_convolution():
             got = convolve(materialize_kernel(system, L), system.d, u).data
         gap = float(np.max(np.abs(got - scan(system, u))))
         assert gap < 1e-8, f"n_state={n_state}: gap {gap:.3e}"
+
+
+def test_windows_rejects_reads_past_the_end():
+    x = np.arange(10.0)
+    np.testing.assert_array_equal(T._windows(x, 4, 4, 2)[-1], x[6:])
+    with pytest.raises(ValueError, match="do not fit"):
+        T._windows(x, 4, 5, 2)
 
 
 def test_causal_conv_memory_stays_below_one_dense_matrix():
