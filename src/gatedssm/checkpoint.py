@@ -19,6 +19,7 @@ MANIFEST_NAME = "manifest.json"
 BUFFER_NAME = "params.bin"
 FORMAT_VERSION = 1
 _DTYPE = "<f8"
+_ITEMSIZE = np.dtype(_DTYPE).itemsize
 
 
 def save_checkpoint(directory: str,
@@ -82,12 +83,30 @@ def load_checkpoint(directory: str) -> Tuple[Dict[str, np.ndarray], dict]:
             f"buffer is {len(raw)} bytes, manifest expects "
             f"{manifest['total_bytes']}"
         )
+    # The entries must tile the buffer in order, each as long as its shape.
     out = {}
+    end = 0
     for ent in manifest["entries"]:
-        flat = np.frombuffer(
-            raw, dtype=_DTYPE, count=ent["size"],
-            offset=ent["offset"]).astype(np.float64)
-        out[ent["name"]] = flat.reshape(ent["shape"])
+        name, size = ent["name"], ent["size"]
+        if size != int(np.prod(ent["shape"])):
+            raise ValueError(f"checkpoint entry {name!r} has size {size}, "
+                             f"its shape {ent['shape']} holds "
+                             f"{int(np.prod(ent['shape']))}")
+        if ent["offset"] != end:
+            raise ValueError(f"checkpoint entry {name!r} starts at byte "
+                             f"{ent['offset']}, the entry before it ends "
+                             f"at {end}")
+        end += size * _ITEMSIZE
+        if end > len(raw):
+            raise ValueError(f"checkpoint entry {name!r} ends at byte {end}"
+                             f", past the {len(raw)}-byte buffer")
+        flat = np.frombuffer(raw, dtype=_DTYPE, count=size,
+                             offset=ent["offset"]).astype(np.float64)
+        out[name] = flat.reshape(ent["shape"])
+    if end != len(raw):
+        last = manifest["entries"][-1]["name"] if out else None
+        raise ValueError(f"checkpoint entries end at byte {end} (last "
+                         f"entry {last!r}), the buffer holds {len(raw)}")
     return out, manifest.get("meta", {})
 
 

@@ -1,7 +1,7 @@
 """Numeric substrate: tensors with reverse-mode autodiff (the causal
 convolution included), a seedable RNG, and ``next_pow2``."""
 
-from .rng import Rng, derive_seed, mix64
+from .rng import Rng, derive_seed, mix64, raw_block, unit_floats
 from .tensor import (
     Tensor,
     TapeNode,
@@ -59,6 +59,7 @@ __all__ = [
     "next_pow2",
     "no_grad",
     "power",
+    "raw_block",
     "reshape",
     "softmax",
     "sub",
@@ -70,6 +71,7 @@ __all__ = [
     "tsin",
     "tsqrt",
     "tsum",
+    "unit_floats",
 ]
 
 

@@ -66,6 +66,24 @@ def _finalize(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _S31)
 
 
+def raw_block(seeds, n: int) -> np.ndarray:
+    """The first n raw outputs of ``Rng(s)`` for every seed s at once.
+
+    `seeds` is an int or an array of them; the result has the shape of
+    `seeds` plus a trailing axis of length n, and entry [..., k] is the
+    (k+1)-th 64-bit output of that seed's stream.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
+    return _finalize(seeds[..., None] + steps)
+
+
+def unit_floats(raw: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw draws: the top 53 bits times 2**-53,
+    the mapping ``Rng.uniform`` uses."""
+    return (raw >> np.uint64(11)).astype(np.float64) * _INV53
+
+
 class Rng:
     """SplitMix64 stream with vectorized draws.
 
@@ -86,9 +104,7 @@ class Rng:
 
     def _raw(self, n: int) -> np.ndarray:
         """Next n outputs as a uint64 array; advances the state by n."""
-        base = np.uint64(self._state)
-        steps = np.arange(1, n + 1, dtype=np.uint64) * _U_GOLDEN
-        out = _finalize(base + steps)
+        out = raw_block(self._state, n)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return out
 
@@ -99,8 +115,7 @@ class Rng:
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high). Scalar when shape is None."""
         n = 1 if shape is None else int(np.prod(shape))
-        bits = self._raw(n) >> np.uint64(11)
-        u = bits.astype(np.float64) * _INV53
+        u = unit_floats(self._raw(n))
         u = low + (high - low) * u
         if shape is None:
             return float(u[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import re
+from array import array
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -24,7 +25,7 @@ from ..numerics import tensor as T
 from .masking import IGNORE_LABEL, mask_tokens
 from .optim import SCHEDULES, AdamW
 from .shards import read_shard, write_shard
-from .vocab import MASK, PAD, Vocab, build_vocab
+from .vocab import MASK, N_SPECIAL, PAD, Vocab, build_vocab
 
 LOSS_CSV_NAME = "loss.csv"
 FINAL_CHECKPOINT = "checkpoint"
@@ -60,17 +61,26 @@ class TrainConfig:
 def chunk_corpus(lines, vocab: Vocab, seq_len: int) -> np.ndarray:
     """Encode documents and cut each into fixed-length rows, PAD on the
     tail of a document's last chunk. Returns (n_chunks, seq_len) ids."""
-    rows = []
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    flat, lengths = array("q"), []
     for line in lines:
-        ids = vocab.encode(line.split())
-        for start in range(0, len(ids), seq_len):
-            piece = ids[start:start + seq_len]
-            if len(piece) < seq_len:
-                piece = piece + [PAD] * (seq_len - len(piece))
-            rows.append(piece)
-    if not rows:
+        encoded = vocab.encode(line.split())
+        lengths.append(len(encoded))
+        flat.extend(encoded)
+    ids = np.frombuffer(flat, dtype=np.int64)
+    lengths = np.array(lengths, dtype=np.int64)
+    doc_rows = -(-lengths // seq_len)
+    if not doc_rows.sum():
         raise ValueError("corpus produced no token chunks")
-    return np.array(rows, dtype=np.int64)
+    rows = np.full((int(doc_rows.sum()), seq_len), PAD, dtype=np.int64)
+    # Token t of a document whose first row is r goes to flat index
+    # r * seq_len + t.
+    first_flat = (np.cumsum(doc_rows) - doc_rows) * seq_len
+    first_token = np.cumsum(lengths) - lengths
+    rows.reshape(-1)[np.arange(len(ids))
+                     + np.repeat(first_flat - first_token, lengths)] = ids
+    return rows
 
 
 def masking_stats(input_ids: np.ndarray, labels: np.ndarray) -> dict:
@@ -108,19 +118,29 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     Chunks are masked offline. The heldout split takes chunk i whenever
     floor(i * holdout_fraction) steps up, so it holds the asked fraction
     of the chunks to within one, spread evenly over the corpus; shard
-    contents are a pure function of (corpus bytes, seed, sizes).
+    contents are a pure function of (corpus bytes, seed, sizes). Bad
+    options, an empty corpus or one without tokens raise before
+    `out_dir` is created.
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     if not 0.0 <= holdout_fraction <= 0.5:
         raise ValueError(
             f"holdout_fraction must lie in [0, 0.5], got {holdout_fraction}")
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
+    if not 0.0 < mask_rate < 1.0:
+        raise ValueError(
+            f"mask_rate must lie strictly between 0 and 1, got {mask_rate}")
+    if vocab_size <= N_SPECIAL:
+        raise ValueError(f"vocab_size must exceed the {N_SPECIAL} special "
+                         f"tokens, got {vocab_size}")
     with open(corpus_path, "r", encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f]
-    os.makedirs(out_dir, exist_ok=True)
     vocab = build_vocab(lines, vocab_size)
-    vocab.save(os.path.join(out_dir, "vocab.txt"))
     chunks = chunk_corpus(lines, vocab, seq_len)
+    os.makedirs(out_dir, exist_ok=True)
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
 
     i = np.arange(len(chunks))
     held_sel = (np.floor(i * holdout_fraction)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable, List
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
@@ -25,7 +26,7 @@ class Vocab:
         return len(self.tokens)
 
     def encode(self, words: Iterable[str]) -> List[int]:
-        return [self._ids.get(w, UNK) for w in words]
+        return list(map(self._ids.get, words, repeat(UNK)))
 
     def decode(self, ids: Iterable[int]) -> List[str]:
         return [self.tokens[i] for i in ids]
@@ -53,11 +54,10 @@ def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
         raise ValueError(
             f"max_size must exceed the {N_SPECIAL} special tokens"
         )
-    counts = Counter()
-    for line in lines:
-        counts.update(line.split())
+    counts = Counter(chain.from_iterable(map(str.split, lines)))
     if not counts:
         raise ValueError("corpus is empty")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = [tok for tok, _ in ranked[:max_size - N_SPECIAL]]
-    return Vocab(list(SPECIAL_TOKENS) + keep)
+    # A stable sort by falling count keeps ties in lexicographic order.
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
+    return Vocab(list(SPECIAL_TOKENS) + ranked[:max_size - N_SPECIAL])

@@ -114,3 +114,23 @@ def test_load_into_strictness():
     with pytest.raises(KeyError, match="unused"):
         load_into([("w", t)], {"w": np.zeros((2, 2)),
                                "stray": np.zeros(1)})
+
+
+
+@pytest.mark.parametrize("name,fields,message", [
+    ("b", {"size": 2}, "entry 'b' has size 2"),
+    ("c", {"offset": 64}, "entry 'c' starts at byte 64"),
+    ("c", {"shape": [5], "size": 5}, "entry 'c' ends at byte 96"),
+    ("c", {"shape": [3], "size": 3}, "last entry 'c'"),
+], ids=["size-unlike-shape", "wrong-offset", "past-the-buffer",
+        "short-of-the-buffer"])
+def test_rejects_manifest_that_does_not_tile_the_buffer(tmp_path, name,
+                                                        fields, message):
+    save_checkpoint(str(tmp_path), [("a", np.zeros(4)), ("b", np.ones(3)),
+                                    ("c", np.ones((2, 2)))])
+    man = tmp_path / MANIFEST_NAME
+    doc = json.loads(man.read_text())
+    next(e for e in doc["entries"] if e["name"] == name).update(fields)
+    man.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(str(tmp_path))

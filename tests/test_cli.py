@@ -100,9 +100,17 @@ def test_prepare_rejects_zero_shards(tmp_path, corpus, capsys):
     ["train", "{tmp}/missing"],
     ["eval", "{tmp}/nockpt", "{tmp}/missing"],
     ["flops", "--set", "novalue"],
+    ["prepare", "{corpus}", "--set", "prepare.seq_len=0"],
+    ["prepare", "{corpus}", "--set", "prepare.seq_len=-4"],
+    ["prepare", "{corpus}", "--set", "prepare.mask_rate=1.5"],
+    ["prepare", "{corpus}", "--set", "prepare.vocab_size=3"],
+    ["prepare", "{tmp}/empty.txt"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
-        "eval-no-checkpoint", "flops-bad-set"])
+        "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
+        "prepare-negative-seq-len", "prepare-mask-rate-above-1",
+        "prepare-tiny-vocab", "prepare-empty-corpus"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, argv):
+    (tmp_path / "empty.txt").write_text("\n \n")
     out = tmp_path / "out"
     argv = [a.format(corpus=corpus, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(out)]) == 1

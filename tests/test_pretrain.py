@@ -1,9 +1,11 @@
 """Vocab, masking, shards, corpus generation, optimizer, schedules."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from gatedssm.numerics import Rng, Tensor
+from gatedssm.numerics import Rng, Tensor, derive_seed
 from gatedssm.pretrain import (
     MASK,
     N_SPECIAL,
@@ -15,6 +17,7 @@ from gatedssm.pretrain import (
     build_vocab,
     constant_lr,
     cosine_warmup_lr,
+    generate_corpus,
     generate_documents,
     linear_warmup_lr,
     mask_tokens,
@@ -214,6 +217,56 @@ def test_corpus_has_markov_structure():
             total += 1
     # 90% of transitions follow the two preferred successors.
     assert 0.85 < hits / total < 0.95
+
+
+def _reference_documents(n_docs, doc_len, n_words, seed):
+    """The generator written as one Python step per token: the oracle
+    for the array version."""
+    docs = []
+    for doc_index in range(n_docs):
+        rng = Rng(derive_seed(seed, doc_index))
+        word = int(rng.integers(0, n_words))
+        words = [word]
+        draws = rng.uniform((doc_len - 1,))
+        escapes = rng.integers(0, n_words, (doc_len - 1,))
+        for i in range(doc_len - 1):
+            if draws[i] < 0.45:
+                word = (3 * word + 1) % n_words
+            elif draws[i] < 0.9:
+                word = (5 * word + 2) % n_words
+            else:
+                word = int(escapes[i])
+            words.append(word)
+        docs.append(" ".join(f"w{w:04d}" for w in words))
+    return docs
+
+
+@pytest.mark.parametrize("n_docs,doc_len,n_words", [
+    (2000, 256, 34000), (20, 2048, 91), (1, 1, 3), (3, 2, 3), (4, 40, 5),
+    # A last block that is not full, and documents longer than a block.
+    (150, 64, 91), (3, 5000, 91),
+])
+def test_corpus_matches_per_token_oracle(n_docs, doc_len, n_words):
+    for seed in (0, 11):
+        assert (generate_documents(n_docs, doc_len, n_words, seed)
+                == _reference_documents(n_docs, doc_len, n_words, seed))
+
+
+# SHA-256 of the corpus files the per-token generator wrote: the
+# acceptance test's corpus and one with the benchmark's BERT shape.
+@pytest.mark.parametrize("n_docs,doc_len,n_words,seed,digest", [
+    (200, 128, 91, 42,
+     "85af0aceba14cfc8bf6f72962e415de8495e56aec962e37243fd7824ec34e2ed"),
+    (2000, 256, 34000, 7,
+     "634b5445ae142c43643b16a315b619b6c61c57b4b05ea1e4e44ba4544763ceed"),
+])
+def test_corpus_bytes_are_pinned(tmp_path, n_docs, doc_len, n_words, seed,
+                                 digest):
+    path = str(tmp_path / "corpus.txt")
+    generate_corpus(path, n_docs=n_docs, doc_len=doc_len, n_words=n_words,
+                    seed=seed)
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == digest
 
 
 def test_corpus_validation():

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from gatedssm.numerics import Rng, derive_seed, mix64
+from gatedssm.numerics import Rng, derive_seed, mix64, raw_block, unit_floats
 
 
 def test_known_splitmix64_values():
@@ -31,6 +31,20 @@ def test_vectorized_matches_scalar_draws():
     singles = np.array([b.u64() for _ in range(16)], dtype=np.uint64)
     assert np.array_equal(block, singles)
     assert a.state == b.state
+
+
+def test_raw_block_matches_per_seed_draws():
+    seeds = [0, 1, 99, (1 << 64) - 1, derive_seed(5, 3)]
+    block = raw_block(seeds, 7)
+    assert block.shape == (5, 7) and block.dtype == np.uint64
+    for row, seed in zip(block, seeds):
+        rng = Rng(seed)
+        assert np.array_equal(row[:1], rng._raw(1))
+        assert np.array_equal(unit_floats(row[1:4]), rng.uniform((3,)))
+        assert np.array_equal(row[4:] % np.uint64(10),
+                              rng.integers(0, 10, (3,)))
+    assert np.array_equal(raw_block(99, 7), block[2])
+    assert raw_block(seeds, 0).shape == (5, 0)
 
 
 def test_determinism_and_state_restore():

@@ -14,6 +14,7 @@ from gatedssm.pretrain import (
     FINAL_CHECKPOINT,
     LOSS_CSV_NAME,
     N_SPECIAL,
+    PAD,
     TrainConfig,
     Vocab,
     build_vocab,
@@ -64,6 +65,52 @@ def test_chunk_corpus_does_not_mix_documents():
     rows = chunk_corpus(["a b c", "d e"], v, seq_len=4)
     assert rows.shape == (2, 4)
     assert rows[0, 3] == 0 and np.all(rows[1, 2:] == 0)
+
+
+def _reference_chunks(lines, vocab, seq_len):
+    """chunk_corpus written as one Python step per token: the oracle."""
+    rows = []
+    for line in lines:
+        ids = vocab.encode(line.split())
+        for start in range(0, len(ids), seq_len):
+            piece = ids[start:start + seq_len]
+            rows.append(piece + [PAD] * (seq_len - len(piece)))
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("lines,seq_len", [
+    (["a b c d", "", "e f g h i j k l", "  ", "m"], 4),
+    (["a b zz c", "yy a", "b b b b b b"], 3),
+    (["a b c d e f", "g h"], 2),
+    (["a", "b c", "d e f"], 1),
+    (["a b c", "d"], 16),
+], ids=["empty-lines", "unknown-words", "exact-multiples", "seq-len-1",
+        "longer-than-docs"])
+def test_chunk_corpus_matches_per_token_oracle(lines, seq_len):
+    # The vocabulary leaves out some words, which encode to UNK.
+    vocab = build_vocab(["a a b b c d e f g h i j k l m"], max_size=9)
+    got = chunk_corpus(lines, vocab, seq_len)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _reference_chunks(lines, vocab, seq_len))
+
+
+def test_chunk_corpus_matches_oracle_on_generated_corpus(tmp_path):
+    path = str(tmp_path / "c.txt")
+    generate_corpus(path, n_docs=30, doc_len=100, n_words=300, seed=2)
+    with open(path, encoding="utf-8") as f:
+        lines = [line.rstrip("\n") for line in f]
+    vocab = build_vocab(lines, 200)
+    for seq_len in (7, 50, 100, 128):
+        assert np.array_equal(chunk_corpus(lines, vocab, seq_len),
+                              _reference_chunks(lines, vocab, seq_len))
+
+
+def test_chunk_corpus_rejects_bad_input():
+    vocab = build_vocab(["a b"], max_size=8)
+    with pytest.raises(ValueError, match="seq_len"):
+        chunk_corpus(["a b"], vocab, 0)
+    with pytest.raises(ValueError, match="no token chunks"):
+        chunk_corpus(["", " "], vocab, 4)
 
 
 def test_masking_stats_hand_example():
@@ -135,14 +182,17 @@ def test_prepare_shards_realizes_holdout_fraction(tmp_path, fraction):
 @pytest.mark.parametrize("key,value", [
     ("n_shards", 0), ("n_shards", -1), ("holdout_fraction", 0.7),
     ("holdout_fraction", 1.0), ("holdout_fraction", -0.1),
+    ("seq_len", 0), ("seq_len", -4), ("mask_rate", 1.5), ("mask_rate", 0.0),
+    ("vocab_size", 3),
 ])
 def test_prepare_shards_rejects_bad_split(tmp_path, key, value):
     corpus = str(tmp_path / "c.txt")
     generate_corpus(corpus, n_docs=5, doc_len=100, n_words=32, seed=1)
     out = str(tmp_path / "out")
+    options = dict(vocab_size=40, seq_len=8)
+    options[key] = value
     with pytest.raises(ValueError, match=key):
-        prepare_shards(corpus, out, vocab_size=40, seq_len=8,
-                       **{key: value})
+        prepare_shards(corpus, out, **options)
     assert not os.path.exists(out)
 
 
