@@ -687,46 +687,69 @@ def _as_real(c: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(c).view(np.float64)
 
 
-def ssm_conv(taps, log_mag, arg, w_re, w_im, u) -> Tensor:
-    """Causal convolution of u (..., L) with the kernel of a diagonal SSM.
+def ssm_conv(log_neg_re, im, c_re, c_im, log_dt, d, u) -> Tensor:
+    """Causal convolution of u (..., L) with one diagonal SSM, skip
+    included, as one tape op over the SSM's parameters.
 
-    The kernel is K[l] = 2 Re sum_n w_n a_n^l with a_n = exp(log_mag_n +
-    i arg_n), |a_n| < 1; taps holds K[0 .. b-1] for b = min(L,
-    CONV_BLOCK). Within each chunk of b entries the output is the dense
-    (b, b) Toeplitz product of ``causal_conv``'s single block; with
-    L <= CONV_BLOCK that is the whole convolution, bit for bit. Across
-    chunks every lag factors as K[(k-j)b + q - p] = 2 Re sum_n w_n
-    a^(q+1) a^((k-j-1)b) a^(b-1-p), so chunk k receives the states
-    S_k = sum_(j<k) a^((k-1-j)b) h_j carried over the earlier chunks'
-    states h_j = U_j V, V[p] = a^(b-1-p): S_k = a^b S_(k-1) + h_(k-1),
-    then Y_k += Re(S_k W) with W[n, q] = 2 w_n a_n^(q+1). Only
-    non-negative powers of a appear. This is the chunked form of the
-    state-space duality (Dao & Gu 2024, arXiv 2405.21060) on the
-    Vandermonde kernel of S4D.
+    With dt = exp(log_dt), Lambda = -exp(log_neg_re) + i im, c = c_re +
+    i c_im and the zero-order hold of B = 1, the states have z = dt
+    Lambda, a = exp(z) and readout weights w = c (a - 1) / Lambda. The
+    output is y = (K + d delta) * u with the Vandermonde kernel K[l] =
+    2 Re sum_n w_n exp(l z_n) of S4D (Gu et al. 2022, arXiv 2206.11893),
+    its powers taken straight from z.
+
+    Within each chunk of b = min(L, CONV_BLOCK) entries the output is
+    the dense (b, b) Toeplitz product of ``causal_conv``'s single block
+    of taps K[0 .. b-1] + d delta. Across chunks every lag factors as
+    K[(k-j)b + q - p] = 2 Re sum_n w_n a^(q+1) a^((k-j-1)b) a^(b-1-p),
+    so chunk k receives the states S_k = sum_(j<k) a^((k-1-j)b) h_j
+    carried over the earlier chunks' states h_j = U_j V, V[p] =
+    a^(b-1-p): S_k = a^b S_(k-1) + h_(k-1), then Y_k += Re(S_k W) with
+    W[n, q] = 2 w_n a_n^(q+1). Only non-negative powers of a appear.
+    This is the chunked form of the state-space duality (Dao & Gu 2024,
+    arXiv 2405.21060).
 
     Backward runs the input gradient through the same structure
-    anti-causally and reaches log_mag, arg and w through the identities
-    d a^m / d log_mag = m a^m and d a^m / d arg = i m a^m, so no tap
-    gradient is formed beyond lag b.
+    anti-causally and reaches z and w through d a^m / dz = m a^m, so no
+    tap gradient is formed beyond lag b; the chain rule from (z, w) to
+    the six fields runs on n complex scalars.
     """
-    taps, log_mag, arg, w_re, w_im, u = (
-        as_tensor(t) for t in (taps, log_mag, arg, w_re, w_im, u))
+    fields = tuple(as_tensor(t) for t in
+                   (log_neg_re, im, c_re, c_im, log_dt, d))
+    log_neg_re, im, c_re, c_im, log_dt, d = fields
+    u = as_tensor(u)
+    n = log_neg_re.shape[0] if log_neg_re.ndim == 1 else 0
+    if n < 1 or any(t.shape != (n,) for t in (im, c_re, c_im)):
+        raise ValueError("ssm_conv needs log_neg_re, im, c_re and c_im of "
+                         "one shape (n,) with n >= 1, got "
+                         f"{[t.shape for t in fields[:4]]}")
+    if log_dt.size != 1 or d.size != 1:
+        raise ValueError("ssm_conv needs scalar log_dt and d, got shapes "
+                         f"{log_dt.shape} and {d.shape}")
     shape = u.data.shape
-    L = shape[-1]
+    L = shape[-1] if shape else 0
+    if L < 1:
+        raise ValueError(f"ssm_conv needs a sequence of length >= 1, got "
+                         f"shape {shape}")
     b = min(L, CONV_BLOCK)
-    if taps.data.shape != (b,):
-        raise ValueError(f"ssm_conv needs {b} taps for length {L}, got "
-                         f"shape {taps.data.shape}")
     nb = -(-L // b)
+    dt = float(np.exp(log_dt.data))
+    neg_re = np.exp(log_neg_re.data)
+    lam = -neg_re + 1j * im.data
+    c = c_re.data + 1j * c_im.data
+    z = dt * lam
+    steps = np.arange(b + 1, dtype=np.float64)[:, None]
+    powers = np.exp(steps * z)                      # a^0 .. a^b
+    q = (powers[1] - 1.0) / lam
+    w = c * q
+    taps = 2.0 * (powers[:b] @ w).real
+    taps[0] += float(d.data)
     ub = _to_blocks(u.data, nb, b)
     rows = ub.shape[0] // nb
-    out = np.matmul(ub, _toeplitz_blocks(taps.data, 1, b)[0])
+    out = np.matmul(ub, _toeplitz_blocks(taps, 1, b)[0])
     if nb > 1:
-        n = log_mag.data.shape[0]
-        steps = np.arange(b + 1, dtype=np.float64)[:, None]
-        powers = np.exp(steps * (log_mag.data + 1j * arg.data))  # a^0..a^b
         decay = powers[b]
-        w2 = 2.0 * (w_re.data + 1j * w_im.data)
+        w2 = 2.0 * w
         v = powers[b - 1::-1]                       # V[p] = a^(b-1-p)
         # states[k] is S_(k+1): the carry into chunk k + 1.
         states = (ub[:-rows] @ _as_real(v)).view(np.complex128)
@@ -739,45 +762,56 @@ def ssm_conv(taps, log_mag, arg, w_re, w_im, u) -> Tensor:
 
     def rule(g):
         gb = _to_blocks(g, nb, b)
-        block = _toeplitz_blocks(taps.data, 1, b)[0]
+        block = _toeplitz_blocks(taps, 1, b)[0]
         gu = np.matmul(gb, block.T)
         del block
         ub = _to_blocks(u.data, nb, b)
         gtaps = _tap_grad(ub, gb, 1, b)[:b]
-        if nb == 1:
-            return gtaps, _from_blocks(gu, shape)
-        # E_k = G_k A1 and E'_k = G_k (m A1) with A1[q] = a^(q+1), m = q+1:
-        # the readout side of every cross-chunk lag, plain and weighted.
-        ramp = np.concatenate((powers[1:], steps[1:] * powers[1:]), axis=1)
-        e_all = (gb[rows:] @ _as_real(ramp)).view(np.complex128)
-        e, e_ramp = e_all[:, :n], e_all[:, n:]
-        # Input gradient: T_j = sum_(k>j) a^((k-1-j)b) w2 E_k, the carry
-        # run backward over chunks, read out through V.
-        back = (w2 * e).reshape(nb - 1, rows, n)
-        for k in range(nb - 3, -1, -1):
-            back[k] += decay * back[k + 1]
-        gu[:-rows] += (_as_real(back).reshape(-1, 2 * n)
-                       @ _as_real(np.conj(v)).T)
-        del back
-        # The state side weighted by its age m: S'_k = sum_(j<k)
-        # sum_p u_j[p] m a^m with m = (k-1-j)b + b-1-p, carried as
-        # S'_k = a^b (S'_(k-1) + b S_(k-1)) + h'_(k-1), h'_j = U_j (m V).
-        aged = (ub[:-rows] @ _as_real(steps[b - 1::-1] * v))
-        aged = aged.view(np.complex128).reshape(nb - 1, rows, n)
-        for k in range(1, nb - 1):
-            aged[k] += decay * (aged[k - 1] + b * states[k - 1])
-        flat = states.reshape(-1, n)
-        f = (e * flat).sum(axis=0)
-        f_ramp = (e_ramp * flat + e * aged.reshape(-1, n)).sum(axis=0)
-        # loss = Re sum_n w2_n F_n with F_n = sum G u a^m; F' weighs by m.
-        dz = w2 * f_ramp
-        return (gtaps, _from_blocks(gu, shape), dz.real, -dz.imag,
-                2.0 * f.real, -2.0 * f.imag)
+        # The taps' share: F = gtaps V and F' = (m gtaps) V, V[m] = a^m.
+        f, f_ramp = np.stack((gtaps, steps[:b, 0] * gtaps)) @ powers[:b]
+        if nb > 1:
+            # E_k = G_k A1 and E'_k = G_k (m A1) with A1[q] = a^(q+1),
+            # m = q+1: the readout side of every cross-chunk lag, plain
+            # and weighted.
+            ramp = np.concatenate((powers[1:], steps[1:] * powers[1:]),
+                                  axis=1)
+            e_all = (gb[rows:] @ _as_real(ramp)).view(np.complex128)
+            e, e_ramp = e_all[:, :n], e_all[:, n:]
+            # Input gradient: T_j = sum_(k>j) a^((k-1-j)b) w2 E_k, the
+            # carry run backward over chunks, read out through V.
+            back = (w2 * e).reshape(nb - 1, rows, n)
+            for k in range(nb - 3, -1, -1):
+                back[k] += decay * back[k + 1]
+            gu[:-rows] += (_as_real(back).reshape(-1, 2 * n)
+                           @ _as_real(np.conj(v)).T)
+            del back
+            # The state side weighted by its age m: S'_k = sum_(j<k)
+            # sum_p u_j[p] m a^m with m = (k-1-j)b + b-1-p, carried as
+            # S'_k = a^b (S'_(k-1) + b S_(k-1)) + h'_(k-1), h'_j =
+            # U_j (m V).
+            aged = (ub[:-rows] @ _as_real(steps[b - 1::-1] * v))
+            aged = aged.view(np.complex128).reshape(nb - 1, rows, n)
+            for k in range(1, nb - 1):
+                aged[k] += decay * (aged[k - 1] + b * states[k - 1])
+            flat = states.reshape(-1, n)
+            f = f + (e * flat).sum(axis=0)
+            f_ramp = f_ramp + (e_ramp * flat
+                               + e * aged.reshape(-1, n)).sum(axis=0)
+        # d loss = Re sum_n (aw_n dw_n + az_n dz_n) with aw = 2F and, at
+        # fixed w, az = 2 w F'. Back through w = c q, q = (a - 1) /
+        # Lambda and z = dt Lambda; a real field r gets Re(ax dx/dr).
+        aw = 2.0 * f
+        aq = aw * c
+        ac = aw * q
+        az = 2.0 * w * f_ramp + aq * powers[1] / lam
+        alam = dt * az - aq * q / lam
+        gdt = dt * float(np.sum(az * lam).real)
+        grads = (-neg_re * alam.real, -alam.imag, ac.real, -ac.imag, gdt,
+                 gtaps[0])
+        return tuple(np.reshape(gr, t.shape) for gr, t in
+                     zip(grads, fields)) + (_from_blocks(gu, shape),)
 
-    # A single chunk is causal_conv's single block, down to the tape:
-    # the same inputs give the same backward order, so the same bits.
-    inputs = (taps, u) if nb == 1 else (taps, u, log_mag, arg, w_re, w_im)
-    return _record("ssm_conv", data, inputs, rule)
+    return _record("ssm_conv", data, fields + (u,), rule)
 
 
 # ---------------------------------------------------------------------------

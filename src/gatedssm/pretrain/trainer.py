@@ -326,7 +326,8 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
 
     Writes `loss.csv` plus a final checkpoint directory (and periodic
     ones when configured). A non-finite loss aborts with the last
-    written checkpoint left intact.
+    written checkpoint left intact; the error names the step, its lr
+    and the first parameter holding a non-finite value, if any.
     """
     os.makedirs(out_dir, exist_ok=True)
     if params is None:
@@ -353,9 +354,13 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
                                labels[idx], train=True, rng=drop_rng)
             value = float(loss.data)
             if not np.isfinite(value):
+                bad = next((name for name, t in params.named_parameters()
+                            if not np.isfinite(t.data).all()), None)
+                where = ("every parameter is finite" if bad is None else
+                         f"parameter {bad} holds a non-finite value")
                 raise RuntimeError(
-                    f"non-finite loss at step {step}; the most recent "
-                    f"checkpoint is retained"
+                    f"non-finite loss at step {step} (lr {lr!r}); {where}; "
+                    f"the most recent checkpoint is retained"
                 )
             optimizer.zero_grad()
             backward(loss)

@@ -5,11 +5,15 @@ y(t) = Re(C x(t)) + D u(t) is discretized by zero-order hold at step
 dt and then applied to length-L sequences in one of three numerically
 equivalent ways, which the tests set against each other: as a stepwise
 recurrence (``scan``, the reference), as a causal convolution with
-the materialized impulse-response kernel (``convolve``), or, in
-``ssm_apply``, the trained path, as dense convolution within chunks
-and a carried state across them (``tensor.ssm_conv``). The input
-matrix is fixed at B = 1 (S4D): any other constant B folds into C, so
-it is neither stored nor trained.
+the impulse-response kernel that ``discretize`` and
+``materialize_kernel`` build on the tape (``convolve``), or, in
+``ssm_apply``, the trained path, as one ``tensor.ssm_conv`` op that
+takes the parameters themselves: it builds the Vandermonde kernel
+below its chunk length and the skip D, convolves densely within
+chunks and carries the state across them. The two kernel routes
+agree to rounding, not bit for bit. The input matrix is fixed at
+B = 1 (S4D): any other constant B folds into C, so it is neither
+stored nor trained.
 
 Storage convention: state entries come in conjugate pairs, and only
 the upper half-plane member of each pair is stored. With that
@@ -150,16 +154,14 @@ def discretize(p: SsmParams) -> DiscreteSsm:
     return DiscreteSsm(a_re, a_im, q_re, q_im, p.c_re, p.c_im, p.d)
 
 
-def kernel_parts(d: DiscreteSsm, length: int) -> tuple:
-    """The taps for lags 0 .. length-1 and what they are built from.
+def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
+    """Impulse-response taps for lags 0 .. length-1, as a (length,)
+    tensor: taps[l] = 2 Re sum_n c_n b_n a_n^l.
 
-    Returns (taps, log|a|, arg a, w_re, w_im): taps[l] = 2 Re sum_n
-    w_n a_n^l with w = c * b, a_n = exp(log|a_n| + i arg a_n). Powers
-    are evaluated in the diagonal (Vandermonde) form a^l = exp(l log a)
-    rather than by repeated multiplication; the principal branch of the
-    complex log is exact here because l is an integer. The doubling is
-    the conjugate-pair storage convention. ``ssm_conv`` takes all five,
-    so the kernel's longer lags are never materialized.
+    Powers are evaluated in the diagonal (Vandermonde) form a^l =
+    exp(l log a) rather than by repeated multiplication; the principal
+    branch of the complex log is exact here because l is an integer.
+    The doubling is the conjugate-pair storage convention.
     """
     if length < 1:
         raise ValueError(f"kernel length must be >= 1, got {length}")
@@ -177,16 +179,7 @@ def kernel_parts(d: DiscreteSsm, length: int) -> tuple:
     w_im = T.add(T.mul(d.c_re, d.b_im), T.mul(d.c_im, d.b_re))
     taps = T.sub(T.matmul(T.reshape(w_re, (1, n)), p_re),
                  T.matmul(T.reshape(w_im, (1, n)), p_im))
-    return (T.reshape(T.mul(2.0, taps), (length,)), log_mag, arg, w_re,
-            w_im)
-
-
-def materialize_kernel(d: DiscreteSsm, length: int) -> Tensor:
-    """Impulse-response taps: taps[l] = 2 Re sum_n c_n * a_n^l * b_n.
-
-    Returns the (length,) taps of ``kernel_parts``.
-    """
-    return kernel_parts(d, length)[0]
+    return T.reshape(T.mul(2.0, taps), (length,))
 
 
 def scan(d: DiscreteSsm, u: np.ndarray) -> np.ndarray:
@@ -224,20 +217,17 @@ def convolve(taps, d_skip, u) -> Tensor:
 
 
 def ssm_apply(p: SsmParams, x: Tensor) -> Tensor:
-    """Apply one SSM to every feature column of a sequence.
+    """Apply one SSM, skip included, to every feature column of a
+    sequence.
 
     x has shape (L, d) or (B, L, d); every column is convolved with the
-    same kernel (all columns share the parameterization). ``ssm_conv``
-    takes the taps of the lags below its chunk length and carries the
-    state across chunks for the rest.
+    same kernel (all columns share the parameterization). The whole
+    application is one ``ssm_conv`` node between two transposes.
     """
     x = T.as_tensor(x)
     if x.ndim not in (2, 3):
         raise ValueError(f"ssm_apply expects (L, d) or (B, L, d), got {x.shape}")
-    length = x.shape[-2]
-    parts = kernel_parts(discretize(p), min(length, T.CONV_BLOCK))
     axes = (1, 0) if x.ndim == 2 else (0, 2, 1)
-    cols = T.transpose(x, axes)  # (..., d, L)
-    y = T.ssm_conv(*parts, cols)
-    y = T.transpose(y, axes)
-    return T.add(y, T.mul(p.d, x))
+    y = T.ssm_conv(p.log_neg_re, p.im, p.c_re, p.c_im, p.log_dt, p.d,
+                   T.transpose(x, axes))  # (..., d, L)
+    return T.transpose(y, axes)

@@ -1,6 +1,7 @@
 """Training loop behavior: determinism, resume, artifacts, evaluation."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -375,23 +376,40 @@ def test_resume_into_same_dir_keeps_loss_csv_identical(tmp_path):
     assert open(csv_path, "rb").read() == full
 
 
-def test_nonfinite_loss_aborts_and_keeps_checkpoint(tmp_path):
+def abort_after_poisoning(tmp_path, poison, culprit):
+    """Train 3 steps, set token-table row 0 of the step-1 checkpoint to
+    poison, resume, and check the one-line abort names the step, its lr
+    and culprit, and that the checkpoint survives."""
     ids, labels = toy_data(16, seed=8)
     cfg = toy_cfg(dropout=0.0)
     out = str(tmp_path / "run")
     tc = TrainConfig(steps=3, batch_size=4, seed=3, checkpoint_every=1)
-    train_mlm(cfg, tc, ids, labels, out)
+    lr = train_mlm(cfg, tc, ids, labels, out)[1][1]
     kept = os.path.join(out, "checkpoint-step-1")
     assert os.path.isdir(kept)
 
     params, optimizer, _ = load_run_checkpoint(kept)
-    params.embeddings.token_table.data[0, 0] = np.nan
-    with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
+    params.embeddings.token_table.data[0] = poison
+    want = re.escape(f"non-finite loss at step 1 (lr {lr!r}); {culprit};")
+    with pytest.raises(RuntimeError, match=want) as err:
         train_mlm(cfg, tc, ids, labels, out, params=params,
                   optimizer=optimizer, start_step=1)
+    assert "\n" not in str(err.value)
     assert os.path.isdir(kept)
     reload_params, _, _ = load_run_checkpoint(kept)
     assert np.isfinite(reload_params.embeddings.token_table.data).all()
+
+
+def test_nonfinite_loss_aborts_and_keeps_checkpoint(tmp_path):
+    abort_after_poisoning(
+        tmp_path, np.nan,
+        "parameter embeddings.token_table holds a non-finite value")
+
+
+def test_nonfinite_loss_from_finite_parameters_says_so(tmp_path):
+    # Weights this large are finite, but the logits overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        abort_after_poisoning(tmp_path, 1e308, "every parameter is finite")
 
 
 @pytest.mark.parametrize("arch,routing", [("gated", "ssm"),
