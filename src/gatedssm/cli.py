@@ -42,8 +42,8 @@ from .pretrain import (
     FINAL_CHECKPOINT,
     TrainConfig,
     Vocab,
-    continue_pretrain,
     eval_mlm,
+    load_extension,
     load_run_checkpoint,
     load_split,
     prepare_shards,
@@ -216,16 +216,17 @@ def cmd_extend(args, cfg) -> None:
                                  need_heldout=False)
     ids, labels = train
     opts = cfg["train"]
-    _start_output(args, cfg)
-    history, new_cfg = continue_pretrain(
-        args.checkpoint, ids.shape[1], ids, labels,
+    params, train_cfg = load_extension(
+        args.checkpoint, ids.shape[1], ids,
         steps=int(opts.get("steps", 100)),
         lr=float(opts.get("peak_lr", 1e-4)),
-        out_dir=args.out,
         seed=cfg["seed"],
         batch_size=opts.get("batch_size"),
     )
-    print(f"extended to length {new_cfg.max_len}; "
+    _start_output(args, cfg)
+    history = train_mlm(params.config, train_cfg, ids, labels, args.out,
+                        params=params)
+    print(f"extended to length {params.config.max_len}; "
           f"{len(history)} steps, last loss {history[-1][2]:.4f}")
     print(f"final checkpoint: {os.path.join(args.out, FINAL_CHECKPOINT)}")
 

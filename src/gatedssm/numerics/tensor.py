@@ -524,24 +524,8 @@ def matmul(a, b) -> Tensor:
 # ---------------------------------------------------------------------------
 # sequence convolution
 
-# Block length of both convolutions: ``causal_conv``'s Toeplitz blocks
-# and ``ssm_conv``'s chunks.
+# Chunk length of ``ssm_conv``.
 CONV_BLOCK = 256
-
-
-def _block_shape(L: int) -> tuple:
-    """(block count, block size) for a convolution of length L.
-
-    Blocks of CONV_BLOCK are used when their nb(nb+1)/2 block products
-    come to at most 4/5 of the L^2 multiply-adds of one (L, L) product;
-    at R=128 rows they were about as fast as that product at 4/5 and
-    slower above it. Otherwise the whole matrix is one block. Below
-    CONV_BLOCK that is always the case.
-    """
-    nb = -(-L // CONV_BLOCK)
-    if 5 * nb * (nb + 1) * CONV_BLOCK ** 2 <= 8 * L * L:
-        return nb, CONV_BLOCK
-    return 1, L
 
 
 def _windows(x: np.ndarray, count: int, width: int, step: int) -> np.ndarray:
@@ -558,20 +542,33 @@ def _windows(x: np.ndarray, count: int, width: int, step: int) -> np.ndarray:
     return as_strided(x, (count, width), (step * s, s), writeable=False)
 
 
-def _toeplitz_blocks(taps: np.ndarray, nb: int, b: int) -> np.ndarray:
-    """The nb distinct (b, b) blocks of the causal Toeplitz matrix.
+def _toeplitz(taps: np.ndarray) -> np.ndarray:
+    """The (b, b) upper-triangular Toeplitz matrix of the b taps.
 
-    D[k][p, q] = taps[k*b + q - p], and 0 where that lag is negative or
-    at least L. Block row i, column j of the full upper-triangular
-    Toeplitz matrix is D[j - i] for j >= i and zero below. Row p of D[k]
-    is the length-b window of [0] * (b - 1) + taps + [0] * (nb*b - L)
-    that starts k*b + b - 1 - p entries in. With nb = 1 this is the
-    (L, L) matrix itself.
+    M[p, q] = taps[q - p] for q >= p and 0 below the diagonal, so a row
+    vector u gives (u @ M)[q] = sum_l taps[l] u[q - l]. Row p of M is
+    the length-b window of [0] * (b - 1) + taps that starts b - 1 - p
+    entries in.
     """
-    L = taps.shape[0]
-    padded = np.concatenate((np.zeros(b - 1), taps, np.zeros(nb * b - L)))
-    windows = _windows(padded, nb * b, b, 1).reshape(nb, b, b)
-    return np.ascontiguousarray(windows[:, ::-1])
+    b = taps.shape[0]
+    padded = np.concatenate((np.zeros(b - 1), taps))
+    return np.ascontiguousarray(_windows(padded, b, b, 1)[::-1])
+
+
+def _lag_sums(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Tap gradient of u @ M for u and output gradient g, both (rows,
+    b): entry l sums superdiagonal l of P = u.T @ g.
+
+    P fills the first b columns of rows of 2b - 1 entries, zeros after.
+    The window of b entries starting at flat offset 2b * p begins at
+    P[p, p] and holds the superdiagonals of row p in order (the entries
+    past column b - 1 fall in the zeros), so summing the b windows sums
+    every superdiagonal.
+    """
+    b = u.shape[1]
+    prod = np.zeros((b, 2 * b - 1))
+    np.matmul(u.T, g, out=prod[:, :b])
+    return _windows(prod.ravel(), b, b, 2 * b).sum(axis=0)
 
 
 def _to_blocks(x: np.ndarray, nb: int, b: int) -> np.ndarray:
@@ -597,32 +594,16 @@ def _from_blocks(y: np.ndarray, shape: tuple) -> np.ndarray:
     return rows.reshape(lead + (-1,))[..., :L]
 
 
-def _block_conv(taps: np.ndarray, x: np.ndarray, nb: int, b: int):
-    """Block-major causal convolution of x (..., L): (nb * rows, b)."""
-    blocks = _toeplitz_blocks(taps, nb, b)
-    xb = _to_blocks(x, nb, b)
-    rows = xb.shape[0] // nb
-    out = np.matmul(xb, blocks[0])
-    for k in range(1, nb):
-        out[k * rows:] += np.matmul(xb[:(nb - k) * rows], blocks[k])
-    return out
-
-
 def causal_conv(taps, u) -> Tensor:
     """Differentiable causal convolution of u (..., L) with taps (L,).
 
     out[..., k] = sum_{l=0..k} taps[l] * u[..., k-l]. Every row of u
-    shares the taps, so the convolution is a product with the
-    upper-triangular Toeplitz matrix of the taps. The sequence is cut
-    into nb blocks of b (``_block_shape``) and zero-padded at the tail;
-    the matrix then has nb distinct (b, b) blocks D[k], and with the
-    rows laid out block-major each block offset k is one GEMM:
-    out[k:] += U[:nb-k] @ D[k] forward, gu[:nb-k] += G[k:] @ D[k].T for
-    the input, and U[:nb-k].T @ G[k:] for the taps. That runs
-    nb(nb+1)/2 of the nb^2 block products and stores nb*b^2 floats of
-    blocks instead of L^2. With nb = 1 the single block is the whole
-    (L, L) matrix. The blocks and the block-major u are rebuilt in
-    backward instead of being kept on the tape.
+    shares the taps, so the convolution is one product with the (L, L)
+    upper-triangular Toeplitz matrix M of the taps: out = U @ M, the
+    input gradient is G @ M.T and the tap gradient the superdiagonal
+    sums of U.T @ G. M holds L^2 floats and is rebuilt in backward
+    instead of being kept on the tape. This is the whole-kernel oracle;
+    ``ssm_conv`` is the op that trains.
     """
     taps, u = as_tensor(taps), as_tensor(u)
     if taps.ndim != 1:
@@ -634,47 +615,16 @@ def causal_conv(taps, u) -> Tensor:
             f"{u.data.shape[-1]}"
         )
     shape = u.data.shape
-    nb, b = _block_shape(L)
-    data = _from_blocks(_block_conv(taps.data, u.data, nb, b), shape)
+    data = (u.data.reshape(-1, L) @ _toeplitz(taps.data)).reshape(shape)
 
     def rule(g):
-        gb = _to_blocks(g, nb, b)
-        rows = gb.shape[0] // nb
-        blocks = _toeplitz_blocks(taps.data, nb, b)
-        gu = np.matmul(gb, blocks[0].T)
-        for k in range(1, nb):
-            gu[:(nb - k) * rows] += np.matmul(gb[k * rows:], blocks[k].T)
-        # The blocks go before the tap gradient allocates its buffer, so
-        # the two never coexist.
-        del blocks
-        gtaps = _tap_grad(_to_blocks(u.data, nb, b), gb, nb, b)
-        return gtaps[:L], _from_blocks(gu, shape)
+        g = g.reshape(-1, L)
+        # M goes before the tap gradient allocates its buffer, so the
+        # two never coexist.
+        gu = (g @ _toeplitz(taps.data).T).reshape(shape)
+        return _lag_sums(u.data.reshape(-1, L), g), gu
 
     return _record("causal_conv", data, (taps, u), rule)
-
-
-def _tap_grad(ub: np.ndarray, gb: np.ndarray, nb: int, b: int) -> np.ndarray:
-    """Tap gradient of the block-major convolution: entry l is the
-    gradient of taps[l], for l < nb * b + 1.
-
-    gtaps[k*b + d] sums diagonal d of P_k = U[:nb-k].T @ G[k:], for d in
-    (-b, b). P_k sits in the last b columns of rows of 2b - 1 entries,
-    with one spare row of zeros below. The window of 2b - 1 entries
-    starting at flat offset 2b * p then holds diagonals -(b-1) .. b-1 of
-    row p in order (the entries past the row end fall in the next row's
-    zero padding), so summing these windows sums every diagonal. Block 0
-    has no negative lags, so its windows start at the diagonal.
-    """
-    rows = ub.shape[0] // nb
-    gtaps = np.zeros((nb + 1) * b)
-    prod = np.zeros((b + 1, 2 * b - 1))
-    flat = prod.ravel()
-    for k in range(nb):
-        np.matmul(ub[:(nb - k) * rows].T, gb[k * rows:], out=prod[:b, b - 1:])
-        lo = b - 1 if k == 0 else 0
-        windows = _windows(flat[lo:], b, 2 * b - 1 - lo, 2 * b)
-        gtaps[k * b + lo:(k + 2) * b - 1] += windows.sum(axis=0)
-    return gtaps[b - 1:]
 
 
 def _as_real(c: np.ndarray) -> np.ndarray:
@@ -699,8 +649,8 @@ def ssm_conv(log_neg_re, im, c_re, c_im, log_dt, d, u) -> Tensor:
     its powers taken straight from z.
 
     Within each chunk of b = min(L, CONV_BLOCK) entries the output is
-    the dense (b, b) Toeplitz product of ``causal_conv``'s single block
-    of taps K[0 .. b-1] + d delta. Across chunks every lag factors as
+    the dense (b, b) Toeplitz product of ``causal_conv`` with the taps
+    K[0 .. b-1] + d delta. Across chunks every lag factors as
     K[(k-j)b + q - p] = 2 Re sum_n w_n a^(q+1) a^((k-j-1)b) a^(b-1-p),
     so chunk k receives the states S_k = sum_(j<k) a^((k-1-j)b) h_j
     carried over the earlier chunks' states h_j = U_j V, V[p] =
@@ -746,7 +696,7 @@ def ssm_conv(log_neg_re, im, c_re, c_im, log_dt, d, u) -> Tensor:
     taps[0] += float(d.data)
     ub = _to_blocks(u.data, nb, b)
     rows = ub.shape[0] // nb
-    out = np.matmul(ub, _toeplitz_blocks(taps, 1, b)[0])
+    out = np.matmul(ub, _toeplitz(taps))
     if nb > 1:
         decay = powers[b]
         w2 = 2.0 * w
@@ -762,11 +712,9 @@ def ssm_conv(log_neg_re, im, c_re, c_im, log_dt, d, u) -> Tensor:
 
     def rule(g):
         gb = _to_blocks(g, nb, b)
-        block = _toeplitz_blocks(taps, 1, b)[0]
-        gu = np.matmul(gb, block.T)
-        del block
+        gu = np.matmul(gb, _toeplitz(taps).T)
         ub = _to_blocks(u.data, nb, b)
-        gtaps = _tap_grad(ub, gb, 1, b)[:b]
+        gtaps = _lag_sums(ub, gb)
         # The taps' share: F = gtaps V and F' = (m gtaps) V, V[m] = a^m.
         f, f_ramp = np.stack((gtaps, steps[:b, 0] * gtaps)) @ powers[:b]
         if nb > 1:

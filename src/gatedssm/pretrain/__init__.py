@@ -18,6 +18,7 @@ from .trainer import (
     chunk_corpus,
     continue_pretrain,
     eval_mlm,
+    load_extension,
     load_run_checkpoint,
     load_split,
     masking_stats,
@@ -44,7 +45,7 @@ __all__ = [
     "Vocab", "build_vocab", "chunk_corpus", "constant_lr",
     "continue_pretrain", "cosine_warmup_lr", "eval_mlm",
     "generate_corpus", "generate_documents", "linear_warmup_lr",
-    "load_run_checkpoint", "load_split", "mask_tokens", "masking_stats",
-    "prepare_shards", "read_shard", "save_run_checkpoint", "train_mlm",
-    "write_shard",
+    "load_extension", "load_run_checkpoint", "load_split", "mask_tokens",
+    "masking_stats", "prepare_shards", "read_shard", "save_run_checkpoint",
+    "train_mlm", "write_shard",
 ]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,18 +93,29 @@ class AdamW:
         self.step_count = step_count
 
 
-def cosine_warmup_lr(step: int, total_steps: int, warmup_frac: float,
-                     peak_lr: float) -> float:
-    """Linear 0 to peak over the warmup span, cosine back down to 0."""
+def _warmup(step: int, total_steps: int, warmup_frac: float,
+            peak_lr: float) -> Tuple[Optional[float], float]:
+    """The part the warm-up schedules share: check the arguments and
+    return (lr, warmup span in steps), with lr None once the step has
+    left the linear warm-up but not yet reached total_steps."""
     if not 0.0 < warmup_frac < 1.0:
         raise ValueError("warmup_frac must lie strictly between 0 and 1")
     if total_steps < 1:
         raise ValueError("total_steps must be positive")
-    if step >= total_steps:
-        return 0.0
     warmup = warmup_frac * total_steps
+    if step >= total_steps:
+        return 0.0, warmup
     if step < warmup:
-        return peak_lr * step / warmup
+        return peak_lr * step / warmup, warmup
+    return None, warmup
+
+
+def cosine_warmup_lr(step: int, total_steps: int, warmup_frac: float,
+                     peak_lr: float) -> float:
+    """Linear 0 to peak over the warmup span, cosine back down to 0."""
+    lr, warmup = _warmup(step, total_steps, warmup_frac, peak_lr)
+    if lr is not None:
+        return lr
     progress = (step - warmup) / (total_steps - warmup)
     return peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
 
@@ -112,15 +123,9 @@ def cosine_warmup_lr(step: int, total_steps: int, warmup_frac: float,
 def linear_warmup_lr(step: int, total_steps: int, warmup_frac: float,
                      peak_lr: float) -> float:
     """Linear 0 to peak over the warmup span, linear back down to 0."""
-    if not 0.0 < warmup_frac < 1.0:
-        raise ValueError("warmup_frac must lie strictly between 0 and 1")
-    if total_steps < 1:
-        raise ValueError("total_steps must be positive")
-    if step >= total_steps:
-        return 0.0
-    warmup = warmup_frac * total_steps
-    if step < warmup:
-        return peak_lr * step / warmup
+    lr, warmup = _warmup(step, total_steps, warmup_frac, peak_lr)
+    if lr is not None:
+        return lr
     return peak_lr * (total_steps - step) / (total_steps - warmup)
 
 

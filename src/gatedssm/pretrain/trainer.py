@@ -92,9 +92,9 @@ def masking_stats(input_ids: np.ndarray, labels: np.ndarray) -> dict:
     binomial noise.
     """
     selected = labels != IGNORE_LABEL
-    # Unselected non-special positions keep an id >= 5, so the union
-    # below recovers the maskable set from a masked shard alone.
-    n_maskable = int(np.sum((input_ids >= 5) | selected))
+    # Unselected non-special positions keep an id >= N_SPECIAL, so the
+    # union below recovers the maskable set from a masked shard alone.
+    n_maskable = int(np.sum((input_ids >= N_SPECIAL) | selected))
     n_selected = int(selected.sum())
     masked = int(np.sum(selected & (input_ids == MASK)))
     kept = int(np.sum(selected & (input_ids == labels)))
@@ -402,16 +402,15 @@ def eval_mlm(model_cfg: ModelConfig, params: ModelParams,
     return mean, float(np.exp(mean))
 
 
-def continue_pretrain(checkpoint_dir: str, new_len: int,
-                      input_ids: np.ndarray, labels: np.ndarray,
-                      steps: int, lr: float, out_dir: str,
-                      *, seed: Optional[int] = None,
-                      batch_size: Optional[int] = None):
-    """Length extension: reload, lift max_len, keep training.
+def load_extension(checkpoint_dir: str, new_len: int,
+                   input_ids: np.ndarray, steps: int, lr: float,
+                   *, seed: Optional[int] = None,
+                   batch_size: Optional[int] = None):
+    """Reload a checkpoint for length extension and check it against
+    the new length and data, writing nothing.
 
-    The state-space kernels simply materialize at the longer length, so
-    no parameters are added or approximated. Optimizer moments restart
-    (the run is a new phase at a fixed learning rate).
+    Returns the parameters with max_len lifted to new_len and the
+    TrainConfig of the continued run; ``continue_pretrain`` trains them.
     """
     params, _, meta = load_run_checkpoint(checkpoint_dir)
     cfg = params.config
@@ -430,8 +429,7 @@ def continue_pretrain(checkpoint_dir: str, new_len: int,
             f"extension data has length {input_ids.shape[1]}, "
             f"expected {new_len}"
         )
-    new_cfg = replace(cfg, max_len=new_len)
-    params.config = new_cfg
+    params.config = replace(cfg, max_len=new_len)
     old_tc = meta.get("train_config", {})
     tc = TrainConfig(
         steps=steps,
@@ -443,6 +441,22 @@ def continue_pretrain(checkpoint_dir: str, new_len: int,
         clip_norm=old_tc.get("clip_norm", 0.0),
         seed=seed if seed is not None else old_tc.get("seed", 0) + 1,
     )
-    history = train_mlm(new_cfg, tc, input_ids, labels, out_dir,
+    return params, tc
+
+
+def continue_pretrain(checkpoint_dir: str, new_len: int,
+                      input_ids: np.ndarray, labels: np.ndarray,
+                      steps: int, lr: float, out_dir: str,
+                      *, seed: Optional[int] = None,
+                      batch_size: Optional[int] = None):
+    """Length extension: reload, lift max_len, keep training.
+
+    The state-space kernels simply materialize at the longer length, so
+    no parameters are added or approximated. Optimizer moments restart
+    (the run is a new phase at a fixed learning rate).
+    """
+    params, tc = load_extension(checkpoint_dir, new_len, input_ids, steps,
+                                lr, seed=seed, batch_size=batch_size)
+    history = train_mlm(params.config, tc, input_ids, labels, out_dir,
                         params=params)
-    return history, new_cfg
+    return history, params.config

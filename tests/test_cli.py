@@ -94,6 +94,19 @@ def test_prepare_rejects_zero_shards(tmp_path, corpus, capsys):
     assert err.startswith("error: n_shards") and err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    """A prepared length-32 directory and a checkpoint trained on it."""
+    tmp = tmp_path_factory.mktemp("short_run")
+    corpus = str(tmp / "corpus.txt")
+    generate_corpus(corpus, n_docs=20, doc_len=96, n_words=40, seed=3)
+    data = prepared_dir(tmp, corpus)
+    run = str(tmp / "run")
+    assert main(["train", data, "--out", run, *MODEL_FLAGS,
+                 *TRAIN_FLAGS]) == 0
+    return data, os.path.join(run, "checkpoint")
+
+
 @pytest.mark.parametrize("argv", [
     ["prepare", "{corpus}", "--set", "prepare.n_shards=0"],
     ["prepare", "{tmp}/missing.txt"],
@@ -105,14 +118,20 @@ def test_prepare_rejects_zero_shards(tmp_path, corpus, capsys):
     ["prepare", "{corpus}", "--set", "prepare.mask_rate=1.5"],
     ["prepare", "{corpus}", "--set", "prepare.vocab_size=3"],
     ["prepare", "{tmp}/empty.txt"],
+    ["extend", "{tmp}/nockpt", "{data}"],
+    ["extend", "{ckpt}", "{data}"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
-        "prepare-tiny-vocab", "prepare-empty-corpus"])
-def test_failed_command_leaves_no_output_dir(tmp_path, corpus, argv):
+        "prepare-tiny-vocab", "prepare-empty-corpus",
+        "extend-no-checkpoint", "extend-same-length"])
+def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
+                                             argv):
     (tmp_path / "empty.txt").write_text("\n \n")
     out = tmp_path / "out"
-    argv = [a.format(corpus=corpus, tmp=tmp_path) for a in argv]
+    data, ckpt = short_run
+    argv = [a.format(corpus=corpus, tmp=tmp_path, data=data, ckpt=ckpt)
+            for a in argv]
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
 

@@ -1,7 +1,5 @@
 """Autodiff tests: every op against oracles and finite differences."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from conftest import check_grads, finite_difference_grad, rel_err
@@ -397,6 +395,9 @@ def _check_causal_conv_grads(L):
     taps = leaf(rng, (L,))
     u = leaf(rng, (2, L))
     w = Tensor(Rng(12).normal((2, L)))
+    np.testing.assert_allclose(nm.causal_conv(taps, u).data,
+                               direct_causal_conv(taps.data, u.data),
+                               atol=1e-12)
 
     def f():
         return nm.tsum(nm.mul(nm.causal_conv(taps, u), w))
@@ -408,10 +409,10 @@ def test_causal_conv_gradients():
     _check_causal_conv_grads(12)
 
 
-@pytest.mark.parametrize("L", [1, 2, 33])
+@pytest.mark.parametrize("L", [1, 2, 7, 8, 9, 23, 29, 33])
 def test_causal_conv_gradients_edge_lengths(L):
-    # The Toeplitz indexing degenerates at L=1 and L=2; 33 is odd and
-    # not a power of two.
+    # The Toeplitz indexing degenerates at L=1 and L=2; the rest are odd,
+    # prime or powers of two.
     _check_causal_conv_grads(L)
 
 
@@ -436,20 +437,15 @@ def test_causal_conv_transposed_batch():
 
 
 # ---------------------------------------------------------------------------
-# block-Toeplitz causal convolution
+# causal convolution as one Toeplitz product
 
 BLOCK = T.CONV_BLOCK
-
-
-def blocks_of(b):
-    """A stand-in for ``_block_shape`` that always cuts into b-blocks."""
-    return lambda L: (-(-L // b), b)
 
 
 def dense_toeplitz_conv(taps, u, g):
     """Forward and both adjoints through one (L, L) Toeplitz matrix.
 
-    The single-block formula, kept as the oracle that one block must
+    Written out independently, as the oracle that ``causal_conv`` must
     reproduce bit for bit: out = U @ M, gu = G @ M.T, and gtaps[l] the
     sum of the l-th superdiagonal of U^T G, read as windows of its rows
     padded to 2L - 1 entries.
@@ -483,7 +479,6 @@ def transposed_case(seed, L):
 @pytest.mark.parametrize("L", [1, 2, 33, BLOCK - 1, BLOCK, BLOCK + 1,
                                2 * BLOCK + 7])
 def test_causal_conv_single_block_is_dense_product_bit_for_bit(L):
-    assert T._block_shape(L) == (1, L)
     taps, u, w = transposed_case(300 + L, L)
     got = conv_and_grads(taps, u, w)
     for name, a, b in zip(("out", "gtaps", "gu"), got,
@@ -493,10 +488,8 @@ def test_causal_conv_single_block_is_dense_product_bit_for_bit(L):
 
 @pytest.mark.parametrize("L", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7,
                                3 * BLOCK + 5])
-def test_causal_conv_blocks_match_direct_sum(L, monkeypatch):
-    # Blocks of the real size at every length, including the padded
-    # tail when L is not a multiple of the block.
-    monkeypatch.setattr(T, "_block_shape", blocks_of(BLOCK))
+def test_causal_conv_blocks_match_direct_sum(L):
+    # Lengths around and past ssm_conv's chunk, not multiples of it.
     taps, u, w = transposed_case(400 + L, L)
     out, gtaps, gu = conv_and_grads(taps, u, w)
     np.testing.assert_allclose(out, direct_causal_conv(taps, u), atol=1e-10)
@@ -505,31 +498,8 @@ def test_causal_conv_blocks_match_direct_sum(L, monkeypatch):
     np.testing.assert_allclose(gu, want_gu, rtol=1e-12, atol=1e-10)
 
 
-@pytest.mark.parametrize("L", [7, 8, 9, 23, 29])
-def test_causal_conv_block_gradients(L, monkeypatch):
-    # The block code with 8-long blocks, so finite differences stay
-    # cheap: b - 1, b, b + 1, 2b + 7 and four blocks.
-    monkeypatch.setattr(T, "_block_shape", blocks_of(8))
-    rng = Rng(500 + L)
-    taps = leaf(rng, (L,))
-    x = leaf(rng, (2, L, 3))
-    w = Tensor(rng.normal((2, 3, L)))
-    cols = nm.transpose(x, (0, 2, 1))
-    np.testing.assert_allclose(nm.causal_conv(taps, cols).data,
-                               direct_causal_conv(taps.data, cols.data),
-                               atol=1e-12)
-
-    def f():
-        cols = nm.transpose(x, (0, 2, 1))
-        return nm.tsum(nm.mul(nm.causal_conv(taps, cols), w))
-
-    check_grads(f, [("taps", taps), ("x", x)])
-
-
 def test_scan_matches_block_convolution():
     L = 1000
-    nb, b = T._block_shape(L)
-    assert nb >= 3 and L % b
     rng = Rng(600)
     for n_state in (8, 64):
         system = discretize(init_s4d(n_state, rng=rng))
@@ -545,21 +515,6 @@ def test_windows_rejects_reads_past_the_end():
     np.testing.assert_array_equal(T._windows(x, 4, 4, 2)[-1], x[6:])
     with pytest.raises(ValueError, match="do not fit"):
         T._windows(x, 4, 5, 2)
-
-
-def test_causal_conv_memory_stays_below_one_dense_matrix():
-    L, rows = 2048, 8
-    rng = Rng(700)
-    taps = leaf(rng, (L,))
-    u = leaf(rng, (rows, L))
-    w = Tensor(rng.normal((rows, L)))
-    tracemalloc.start()
-    try:
-        backward(nm.tsum(nm.mul(nm.causal_conv(taps, u), w)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < L * L * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
