@@ -329,8 +329,10 @@ def atan2(y, x) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF.
 
-    The erf form is used rather than the tanh approximation so that
-    finite-difference checks hold to tight tolerances.
+    The erf form is the model that the stored reference losses pin. The
+    tanh approximation differs from it by up to 4.7e-4, so switching
+    would change the model, not just its speed; both forms have exact
+    closed-form derivatives, so finite-difference checks hold for either.
     """
     a = as_tensor(a)
     # 0.5 * (1 + erf(x / sqrt 2)) and, below, g * (cdf + x * pdf) with

@@ -9,6 +9,7 @@ from a checkpoint at step k replays exactly the run that never stopped.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import re
 from array import array
@@ -52,6 +53,8 @@ class TrainConfig:
             raise ValueError(
                 f"schedule must be one of {sorted(SCHEDULES)}"
             )
+        if not 0.0 < self.warmup_frac < 1.0:
+            raise ValueError("warmup_frac must lie strictly between 0 and 1")
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +197,35 @@ def load_split(paths: List[str]) -> Tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # training
 
+# mallopt(3) parameter numbers in glibc's malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# glibc's own ceiling for its dynamic mmap threshold on 64-bit builds.
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep the pages of freed arrays in the process for the next step.
+
+    glibc's default malloc gives back to the kernel every freed block
+    above its mmap threshold and trims the heap top above its trim
+    threshold, so a step's multi-MB activations, gradients and
+    temporaries fault fresh zeroed pages in again on the next step. This
+    maps only blocks of 32 MiB or more, which still go back at free, and
+    never trims (a trim threshold of -1). The setting is process-wide,
+    repeating it is harmless, no computed value changes, and on a C
+    library other than glibc it does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version   # present in glibc only
+        mallopt = libc.mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+
 
 @lru_cache(maxsize=2)
 def _epoch_order(seed: int, epoch: int, count: int) -> np.ndarray:
@@ -329,6 +361,7 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
     written checkpoint left intact; the error names the step, its lr
     and the first parameter holding a non-finite value, if any.
     """
+    _keep_freed_memory()
     os.makedirs(out_dir, exist_ok=True)
     if params is None:
         params = init_model(model_cfg,
@@ -384,6 +417,7 @@ def eval_mlm(model_cfg: ModelConfig, params: ModelParams,
              input_ids: np.ndarray, labels: np.ndarray,
              batch_size: int = 16) -> Tuple[float, float]:
     """Mean cross-entropy per labeled position and its exp (perplexity)."""
+    _keep_freed_memory()
     total, weight = 0.0, 0
     with no_grad():
         for start in range(0, len(input_ids), batch_size):

@@ -120,11 +120,13 @@ def short_run(tmp_path_factory):
     ["prepare", "{tmp}/empty.txt"],
     ["extend", "{tmp}/nockpt", "{data}"],
     ["extend", "{ckpt}", "{data}"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.warmup_frac=1.5"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
         "prepare-tiny-vocab", "prepare-empty-corpus",
-        "extend-no-checkpoint", "extend-same-length"])
+        "extend-no-checkpoint", "extend-same-length",
+        "train-warmup-frac-above-1"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
                                              argv):
     (tmp_path / "empty.txt").write_text("\n \n")

@@ -1,7 +1,10 @@
 """Training loop behavior: determinism, resume, artifacts, evaluation."""
 
 import os
+import platform
 import re
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -534,6 +537,59 @@ def test_train_config_validation():
         TrainConfig(steps=1, schedule="warm")
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(steps=1, batch_size=0)
+    for frac in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="warmup_frac"):
+            TrainConfig(steps=1, warmup_frac=frac)
+
+
+# ---------------------------------------------------------------------------
+# malloc policy
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the malloc policy is set on glibc only")
+def test_freed_arrays_keep_their_pages():
+    import resource
+
+    def cycle_faults():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        arrays = [np.ones(2 << 20) for _ in range(4)]
+        del arrays
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    trainer._keep_freed_memory()
+    faults = [cycle_faults() for _ in range(3)]
+    # The four 16 MB arrays span 16384 pages. glibc's default policy
+    # trims them after every cycle, which then costs about 2000 faults.
+    assert max(faults[1:]) < 64, faults
+
+
+def _no_libc(_name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [
+    _no_libc,
+    lambda _name: SimpleNamespace(),
+    lambda _name: SimpleNamespace(gnu_get_libc_version=None),
+], ids=["oserror", "not-glibc", "no-mallopt"])
+def test_malloc_policy_is_a_no_op_without_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(trainer.ctypes, "CDLL", cdll)
+    assert trainer._keep_freed_memory() is None
+
+
+def test_train_and_eval_set_the_malloc_policy(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(trainer, "_keep_freed_memory",
+                        lambda: calls.append(1))
+    cfg = toy_cfg()
+    ids, labels = toy_data(4, seed=14)
+    params = init_model(cfg, Rng(23))
+    eval_mlm(cfg, params, ids, labels, batch_size=4)
+    train_mlm(cfg, TrainConfig(steps=1, batch_size=4), ids, labels,
+              str(tmp_path / "run"), params=params)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
