@@ -28,7 +28,7 @@ def save_checkpoint(directory: str,
     """Write named arrays and metadata to `directory`, atomically."""
     os.makedirs(directory, exist_ok=True)
     manifest_entries = []
-    chunks = []
+    arrays = []
     offset = 0
     seen = set()
     for name, arr in entries:
@@ -36,17 +36,17 @@ def save_checkpoint(directory: str,
             raise ValueError(f"duplicate checkpoint entry {name!r}")
         seen.add(name)
         arr = getattr(arr, "data", arr)   # accept Tensor or ndarray
-        data = np.ascontiguousarray(arr, dtype=np.float64).astype(
-            _DTYPE, copy=False)
-        raw = data.tobytes()
+        # A view of the caller's array when it is already contiguous
+        # little-endian float64; the bytes are written from its buffer.
+        data = np.ascontiguousarray(arr, dtype=_DTYPE)
         manifest_entries.append({
             "name": name,
             "shape": list(np.shape(arr)),
             "offset": offset,
             "size": data.size,
         })
-        chunks.append(raw)
-        offset += len(raw)
+        arrays.append(data)
+        offset += data.nbytes
     manifest = {
         "version": FORMAT_VERSION,
         "dtype": _DTYPE,
@@ -57,8 +57,8 @@ def save_checkpoint(directory: str,
     buf_tmp = os.path.join(directory, BUFFER_NAME + ".tmp")
     man_tmp = os.path.join(directory, MANIFEST_NAME + ".tmp")
     with open(buf_tmp, "wb") as f:
-        for raw in chunks:
-            f.write(raw)
+        for data in arrays:
+            f.write(memoryview(data))
     with open(man_tmp, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1)
         f.write("\n")

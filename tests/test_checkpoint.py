@@ -47,6 +47,29 @@ def test_buffer_is_little_endian_concatenation(tmp_path):
     assert shapes == {"a": [3], "b": [2, 1]}
 
 
+def test_buffer_bytes_for_mixed_layouts(tmp_path):
+    rng = Rng(3)
+    flat = rng.normal((20,)).copy()
+    entries = [
+        ("scalar", np.array(2.5)),
+        ("matrix", rng.normal((3, 4))),
+        ("transposed", rng.normal((4, 5)).T),
+        ("flat_view", flat[6:18].reshape(3, 4)),
+        ("ints", np.arange(5)),
+        ("empty", np.zeros((0, 3))),
+    ]
+    assert not entries[2][1].flags.c_contiguous
+    assert entries[3][1].base is flat
+    save_checkpoint(str(tmp_path), entries)
+    want = b"".join(np.asarray(a).astype("<f8").tobytes()
+                    for _, a in entries)
+    assert (tmp_path / BUFFER_NAME).read_bytes() == want
+    loaded, _ = load_checkpoint(str(tmp_path))
+    for name, arr in entries:
+        assert loaded[name].shape == arr.shape
+        np.testing.assert_array_equal(loaded[name], arr)
+
+
 def test_rejects_duplicate_names(tmp_path):
     with pytest.raises(ValueError, match="duplicate"):
         save_checkpoint(str(tmp_path),

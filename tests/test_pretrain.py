@@ -1,6 +1,7 @@
 """Vocab, masking, shards, corpus generation, optimizer, schedules."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gatedssm.pretrain import (
     read_shard,
     write_shard,
 )
+from gatedssm.pretrain.optim import BETA1, BETA2, BLOCK, EPS
 
 # ---------------------------------------------------------------------------
 # vocab
@@ -407,6 +409,179 @@ def test_adamw_state_round_trip():
     opt.step(lr=0.01)
     opt2.step(lr=0.01)
     np.testing.assert_array_equal(p.data, p2.data)
+
+
+def test_adamw_load_state_validates_before_copying():
+    w = Tensor(Rng(20).normal((3, 4)), requires_grad=True)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    opt = AdamW([("w", w), ("b", b)])
+    good = {n: np.full(a.shape, 5.0) for n, a in opt.state_entries()}
+    cases = [
+        ("missing entry 'adam_v.b'",
+         {k: a for k, a in good.items() if k != "adam_v.b"}, 3),
+        (r"entry 'adam_m.w' has shape \(1,\)",
+         {**good, "adam_m.w": np.full(1, 5.0)}, 3),
+        ("unknown entry 'adam_m.zzz'", {**good, "adam_m.zzz": np.ones(2)}, 3),
+        ("step count -1", good, -1),
+    ]
+    for message, entries, step_count in cases:
+        with pytest.raises(ValueError, match=message):
+            opt.load_state(entries, step_count)
+        for _, arr in opt.state_entries():
+            np.testing.assert_array_equal(arr, 0.0)
+        assert opt.step_count == 0
+    opt.load_state(good, 3)
+    for _, arr in opt.state_entries():
+        np.testing.assert_array_equal(arr, 5.0)
+    assert opt.step_count == 3
+
+
+class PerTensorAdamW:
+    """AdamW.step as it was written before the flat buffers, one tensor
+    at a time: the oracle the block walk must match bit for bit."""
+
+    def __init__(self, params, weight_decay=0.0, clip_norm=0.0):
+        self.params = list(params)
+        self.weight_decay = weight_decay
+        self.clip_norm = clip_norm
+        self.step_count = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+
+    def step(self, lr):
+        for name, p in self.params:
+            if p.grad is None or not np.all(np.isfinite(p.grad)):
+                raise RuntimeError(
+                    f"non-finite gradient in parameter {name!r}"
+                )
+        if self.clip_norm > 0.0:
+            total = math.sqrt(sum(float(np.sum(p.grad ** 2))
+                                  for _, p in self.params))
+            if total > self.clip_norm:
+                scale = self.clip_norm / total
+                for _, p in self.params:
+                    p.grad *= scale
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for name, p in self.params:
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data -= lr * update
+            if self.weight_decay and p.data.ndim >= 2:
+                p.data -= lr * self.weight_decay * p.data
+
+
+# Matrices are decayed and laid out first: 40035 decayed elements put
+# the decay boundary inside the second block, and the total spans three.
+ORACLE_SHAPES = [("w1", (200, 150)), ("b1", (70,)), ("s", ()),
+                 ("w2", (100, 100)), ("g", (30000,)), ("w3", (5, 7))]
+
+
+def oracle_params(seed):
+    rng = Rng(seed)
+    return [(name, Tensor(rng.normal(shape), requires_grad=True))
+            for name, shape in ORACLE_SHAPES]
+
+
+def test_adamw_block_walk_matches_per_tensor_oracle_bit_for_bit():
+    decayed = sum(math.prod(s) for _, s in ORACLE_SHAPES if len(s) >= 2)
+    total = sum(math.prod(s) for _, s in ORACLE_SHAPES)
+    assert total > 2 * BLOCK and decayed // BLOCK == 1 and decayed % BLOCK
+    flat, ref = oracle_params(30), oracle_params(30)
+    opt = AdamW(flat, weight_decay=0.01, clip_norm=50.0)
+    oracle = PerTensorAdamW(ref, weight_decay=0.01, clip_norm=50.0)
+    rng = Rng(31)
+    for step in range(6):
+        for (_, p), (_, q) in zip(flat, ref):
+            # Scales around the clip norm: some steps clip, some do not.
+            p.grad[...] = rng.normal(p.shape) * (0.1 + 0.1 * step)
+            q.grad[...] = p.grad
+        opt.step(lr=1e-3 * (step + 1))
+        oracle.step(lr=1e-3 * (step + 1))
+        for (name, p), (_, q) in zip(flat, ref):
+            assert np.array_equal(p.data, q.data), (step, name)
+            assert np.array_equal(opt.m[name], oracle.m[name]), (step, name)
+            assert np.array_equal(opt.v[name], oracle.v[name]), (step, name)
+        assert opt.step_count == oracle.step_count == step + 1
+
+
+def test_adamw_nonfinite_gradient_names_first_and_changes_nothing():
+    params = [("a", Tensor(np.ones(3), requires_grad=True)),
+              ("b", Tensor(np.ones(4), requires_grad=True)),
+              ("c", Tensor(np.ones(5), requires_grad=True)),
+              ("d", Tensor(np.ones((2, 3)), requires_grad=True))]
+    opt = AdamW(params, weight_decay=0.1, clip_norm=1.0)
+    for _, p in params:
+        p.grad[...] = 2.0
+    opt.step(lr=0.1)
+    for _, p in params:
+        p.grad[...] = 3.0
+    params[1][1].grad[2] = np.nan
+    params[3][1].grad[0, 1] = np.inf   # laid out first, listed fourth
+    before = [(p.data.copy(), p.grad.copy(), opt.m[n].copy(),
+               opt.v[n].copy()) for n, p in params]
+    with pytest.raises(RuntimeError, match="parameter 'b'"):
+        opt.step(lr=0.1)
+    for (n, p), saved in zip(params, before):
+        now = (p.data, p.grad, opt.m[n], opt.v[n])
+        for a, b in zip(now, saved):
+            np.testing.assert_array_equal(a, b)
+    assert opt.step_count == 1
+
+
+def test_adamw_refuses_tensors_adopted_by_another_optimizer():
+    params = [("w", Tensor(np.ones((2, 2)), requires_grad=True)),
+              ("b", Tensor(np.ones(2), requires_grad=True))]
+    first = AdamW(params)
+    second = AdamW(params)
+    for _, p in params:
+        p.grad[...] = 1.0
+    with pytest.raises(RuntimeError, match="'w' no longer lives"):
+        first.step(lr=0.1)
+    second.step(lr=0.1)
+    np.testing.assert_allclose(params[1][1].data, 0.9, rtol=1e-6)
+
+
+@pytest.mark.parametrize("field", ["data", "grad"])
+def test_adamw_refuses_replaced_buffers(field):
+    params = [("w", Tensor(np.ones((2, 2)), requires_grad=True)),
+              ("b", Tensor(np.ones(2), requires_grad=True))]
+    opt = AdamW(params)
+    b = params[1][1]
+    setattr(b, field, getattr(b, field).copy())
+    with pytest.raises(RuntimeError, match="'b' no longer lives"):
+        opt.step(lr=0.1)
+    np.testing.assert_array_equal(params[0][1].data, 1.0)
+
+
+def test_adamw_rejects_a_tensor_or_name_listed_twice():
+    p = Tensor(np.ones(3), requires_grad=True)
+    q = Tensor(np.ones(2), requires_grad=True)
+    for params in ([("a", p), ("b", p)], [("a", p), ("a", q)]):
+        with pytest.raises(ValueError, match="distinct"):
+            AdamW(params)
+
+
+def test_adamw_adopts_values_and_zero_grad_clears_every_tensor():
+    w = Tensor(Rng(32).normal((3, 2)), requires_grad=True)
+    s = Tensor(np.array(1.5), requires_grad=True)
+    values = w.data.copy()
+    w.grad[...] = 7.0
+    opt = AdamW([("s", s), ("w", w)])
+    np.testing.assert_array_equal(w.data, values)
+    np.testing.assert_array_equal(w.grad, 7.0)
+    assert s.data.shape == () and float(s.data) == 1.5
+    opt.zero_grad()
+    np.testing.assert_array_equal(w.grad, 0.0)
+    assert float(s.grad) == 0.0
 
 
 # ---------------------------------------------------------------------------

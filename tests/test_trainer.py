@@ -444,6 +444,18 @@ def test_load_run_checkpoint_restores_saved_state_exactly(tmp_path, arch,
     assert loaded_opt.step_count == optimizer.step_count == 2
 
 
+def test_load_run_checkpoint_rejects_a_misshapen_moment(tmp_path):
+    ckpt = checkpointed_toy_run(tmp_path)
+    entries, meta = load_checkpoint(ckpt)
+    name = next(k for k in entries if k.startswith("adam_m."))
+    entries[name] = np.full(1, 5.0)
+    edited = str(tmp_path / "edited")
+    save_checkpoint(edited, entries.items(), meta=meta)
+    with pytest.raises(ValueError, match=re.escape(
+            f"optimizer state entry {name!r} has shape (1,)")):
+        load_run_checkpoint(edited)
+
+
 def test_load_run_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
     ckpt = checkpointed_toy_run(tmp_path)
     calls = []
