@@ -25,8 +25,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AttentionParams, ModelConfig, ModelParams
+from .model import AttentionParams, ModelConfig, ModelParams, _linear
 from .numerics import Rng, no_grad
+from .numerics.tensor import attention_probs
 from .ssm import SsmParams, discretize, materialize_kernel, ssm_apply
 
 CROP_RADIUS = 10
@@ -359,13 +360,7 @@ def attention_scores(x: np.ndarray, attn: AttentionParams,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("attention_scores expects a single (L, d) input")
-    length, d = x.shape
-    d_head = d // n_heads
-    q = x @ attn.w_q.data + (attn.b_q.data if attn.b_q is not None else 0.0)
-    k = x @ attn.w_k.data + (attn.b_k.data if attn.b_k is not None else 0.0)
-    q = q.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-    k = k.reshape(length, n_heads, d_head).transpose(1, 0, 2)
-    logits = q @ k.transpose(0, 2, 1) / math.sqrt(d_head)
-    logits -= logits.max(axis=-1, keepdims=True)
-    weights = np.exp(logits)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    with no_grad():
+        q = _linear(x, attn.w_q, attn.b_q).data
+        k = _linear(x, attn.w_k, attn.b_k).data
+    return attention_probs(q, k, n_heads)

@@ -17,7 +17,6 @@ are replayable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -334,31 +333,13 @@ def dropout(x, p: float, rng: Optional[Rng], train: bool) -> Tensor:
 def multihead_attention(x, p: AttentionParams, n_heads: int) -> Tensor:
     """Scaled dot-product self-attention over the row axis.
 
-    Accepts (L, d) or (batch, L, d); heads split the feature axis.
+    Accepts (L, d) or (batch, L, d); heads split the feature axis. The
+    projections are matmuls and the attention core is one
+    ``attention`` tape op.
     """
     x = T.as_tensor(x)
-    d = x.shape[-1]
-    if d % n_heads:
-        raise ValueError("feature width must be divisible by n_heads")
-    d_head = d // n_heads
-    lead = x.shape[:-2]
-    length = x.shape[-2]
-
-    def split(t):
-        t = T.reshape(t, lead + (length, n_heads, d_head))
-        perm = tuple(range(len(lead))) + (
-            len(lead) + 1, len(lead), len(lead) + 2)
-        return T.transpose(t, perm)   # (..., heads, L, d_head)
-
-    q = split(_linear(x, p.w_q, p.b_q))
-    k = split(_linear(x, p.w_k, p.b_k))
-    v = split(_linear(x, p.w_v, p.b_v))
-    kt_perm = tuple(range(len(lead) + 1)) + (len(lead) + 2, len(lead) + 1)
-    scores = T.mul(T.matmul(q, T.transpose(k, kt_perm)),
-                   1.0 / math.sqrt(d_head))
-    ctx = T.matmul(T.softmax(scores, axis=-1), v)
-    back = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    ctx = T.reshape(T.transpose(ctx, back), lead + (length, d))
+    ctx = T.attention(_linear(x, p.w_q, p.b_q), _linear(x, p.w_k, p.b_k),
+                      _linear(x, p.w_v, p.b_v), n_heads)
     if p.w_out is not None:
         ctx = _linear(ctx, p.w_out, p.b_out)
     return ctx

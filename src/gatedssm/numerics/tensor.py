@@ -20,6 +20,7 @@ Rules of the house:
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -523,6 +524,85 @@ def matmul(a, b) -> Tensor:
                 _unbroadcast(gb, b.data.shape))
 
     return _record("matmul", data, (a, b), rule)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., L, d) as the (..., heads, L, d / heads) view whose head h
+    holds features h * d / heads onward."""
+    *lead, length, d = x.shape
+    return x.reshape((*lead, length, n_heads, d // n_heads)).swapaxes(-3, -2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of ``_heads``: (..., heads, L, d_head) to (..., L, d)."""
+    *lead, n_heads, length, d_head = x.shape
+    return x.swapaxes(-3, -2).reshape((*lead, length, n_heads * d_head))
+
+
+def attention_probs(q: np.ndarray, k: np.ndarray, n_heads: int) -> np.ndarray:
+    """Attention weights of queries q and keys k, both (..., L, d):
+    softmax_j(q_i . k_j / sqrt(d_head)) per head, shape (..., heads, L,
+    L). Heads split the feature axis into n_heads equal slices.
+
+    The scores are scaled after the product, then shifted by their row
+    maximum, exponentiated and normalized in place, so the weights are
+    the only (L, L) array per head that is allocated.
+    """
+    if n_heads < 1:
+        raise ValueError(f"attention needs n_heads >= 1, got {n_heads}")
+    if q.shape != k.shape or q.ndim < 2 or 0 in q.shape[-2:]:
+        raise ValueError("attention needs queries and keys of one shape "
+                         f"(..., L, d) with L, d >= 1, got {q.shape} and "
+                         f"{k.shape}")
+    d = q.shape[-1]
+    if d % n_heads:
+        raise ValueError(f"feature width {d} is not divisible by n_heads "
+                         f"{n_heads}")
+    probs = np.matmul(_heads(q, n_heads), _heads(k, n_heads).swapaxes(-1, -2))
+    probs *= 1.0 / math.sqrt(d // n_heads)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
+
+
+def attention(q, k, v, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of q, k, v (..., L, d)
+    as one tape op: the heads' contexts P V with P = ``attention_probs``
+    (q, k), merged back to (..., L, d).
+
+    Only P stays on the tape besides the inputs. With G the output
+    gradient per head, backward forms dV = P^T G, dP = G V^T, the
+    softmax and scale adjoint dS = (dP - rowsum(dP * P)) * P * scale,
+    dQ = dS K and dK = (Q^T dS)^T. These are the operations, in the
+    same order, of the chain of reshape, transpose, matmul, mul and
+    softmax ops that the tests keep as the oracle, so values and
+    gradients equal the chain's bit for bit.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if v.shape != q.shape:
+        raise ValueError(f"attention needs values shaped like the queries "
+                         f"{q.shape}, got {v.shape}")
+    probs = attention_probs(q.data, k.data, n_heads)
+    data = _merge_heads(np.matmul(probs, _heads(v.data, n_heads)))
+
+    def rule(g):
+        g = _heads(g, n_heads)
+        gv = np.matmul(probs.swapaxes(-1, -2), g)
+        gs = np.matmul(g, _heads(v.data, n_heads).swapaxes(-1, -2))
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= 1.0 / math.sqrt(q.shape[-1] // n_heads)
+        gq = np.matmul(gs, _heads(k.data, n_heads))
+        gk = np.matmul(_heads(q.data, n_heads).swapaxes(-1, -2), gs)
+        return (_merge_heads(gq), _merge_heads(gk.swapaxes(-1, -2)),
+                _merge_heads(gv))
+
+    return _record("attention", data, (q, k, v), rule)
 
 
 # ---------------------------------------------------------------------------

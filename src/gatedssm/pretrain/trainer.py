@@ -417,6 +417,8 @@ def eval_mlm(model_cfg: ModelConfig, params: ModelParams,
              input_ids: np.ndarray, labels: np.ndarray,
              batch_size: int = 16) -> Tuple[float, float]:
     """Mean cross-entropy per labeled position and its exp (perplexity)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     _keep_freed_memory()
     total, weight = 0.0, 0
     with no_grad():

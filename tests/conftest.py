@@ -62,6 +62,17 @@ def check_grads(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
 
 
+def count_nodes(out: Tensor) -> int:
+    """Tape nodes reachable from out."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if t.node is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.node.inputs)
+    return len(seen)
+
+
 def boost_gated_weights(blk, factor: float = 25.0) -> None:
     """Scale a freshly initialized gated block's projections up to O(1).
 

@@ -291,6 +291,17 @@ def test_probe_static_routing_kernel_vs_attention():
     assert np.max(np.abs(s1 - s2)) > 0.0
 
 
+@pytest.mark.parametrize("d, n_heads, message", [
+    (16, 0, "n_heads >= 1, got 0"),
+    (6, 4, "width 6 is not divisible by n_heads 4"),
+])
+def test_attention_scores_rejects_bad_heads(d, n_heads, message):
+    cfg = toy_cfg(routing="attention", d_model=d, n_heads=2)
+    attn = init_model(cfg, Rng(19)).blocks[0].attn_fwd
+    with pytest.raises(ValueError, match=message):
+        attention_scores(Rng(20).normal((24, d)), attn, n_heads)
+
+
 def test_probe_kernel_moves_after_training_step():
     cfg = toy_cfg(max_len=8)
     params = init_model(cfg, Rng(21))

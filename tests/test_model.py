@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import boost_gated_weights, check_grads
+from conftest import boost_gated_weights, check_grads, count_nodes
 
 import gatedssm.numerics.tensor as T
 from gatedssm import ssm as S
@@ -203,6 +203,28 @@ def test_attention_batched_matches_unbatched():
             np.testing.assert_allclose(batched[i], row, atol=1e-12)
 
 
+def test_attention_tape_node_count():
+    # Three projections, the attention op and the output projection.
+    cfg = toy_config(arch="stacked", routing="attention", d_model=8,
+                     n_heads=2)
+    p = init_model(cfg, Rng(8)).blocks[0].attn
+    out = multihead_attention(Tensor(Rng(9).normal((3, 5, 8))), p, 2)
+    assert count_nodes(out) == 5
+
+
+@pytest.mark.parametrize("d, n_heads, message", [
+    (8, 0, "n_heads >= 1, got 0"),
+    (6, 4, "width 6 is not divisible by n_heads 4"),
+])
+def test_attention_rejects_bad_heads(d, n_heads, message):
+    rng = Rng(10)
+    p = AttentionParams(w_q=Tensor(rng.normal((d, d))),
+                        w_k=Tensor(rng.normal((d, d))),
+                        w_v=Tensor(rng.normal((d, d))))
+    with pytest.raises(ValueError, match=message):
+        multihead_attention(Tensor(rng.normal((5, d))), p, n_heads)
+
+
 # ---------------------------------------------------------------------------
 # gated block
 
@@ -328,6 +350,35 @@ def test_gated_block_attention_routing_runs_and_differs():
         out = gated_block(Tensor(x), blk, n_heads=2).data
     assert out.shape == (6, 8)
     assert np.max(np.abs(out - x)) > 1e-6
+
+
+def test_gated_block_attention_gradients_all_parameters():
+    # Attention routing without an output projection (w_out is None).
+    cfg = toy_config(routing="attention", d_model=8, n_heads=2, n_layers=1,
+                     use_bias=True)
+    blk = init_model(cfg, Rng(25)).blocks[0]
+    boost_gated_weights(blk)
+    for attn in (blk.attn_fwd, blk.attn_bwd):
+        assert attn.w_out is None
+        for name in ("w_q", "w_k", "w_v"):
+            getattr(attn, name).data[:] *= 25.0
+    x = Tensor(Rng(26).normal((2, 6, 8)), requires_grad=True)
+    w = Tensor(Rng(27).normal((2, 6, 8)))
+
+    def f():
+        return T.tsum(T.mul(gated_block(x, blk, n_heads=2), w))
+
+    from gatedssm.model import _named_block_params
+    names = [("x", x)]
+    names += [(n, t) for n, t in _named_block_params(blk) if t.requires_grad]
+    # A key bias adds q . b_k to every score of a row, which the softmax
+    # cancels: its gradient is zero up to rounding, and finite
+    # differences of it are noise.
+    key_biases = [t for n, t in names if n.endswith(".b_k")]
+    assert len(key_biases) == 2
+    check_grads(f, [(n, t) for n, t in names if not n.endswith(".b_k")])
+    for t in key_biases:
+        assert np.max(np.abs(t.grad)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

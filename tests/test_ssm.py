@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import check_grads
+from conftest import check_grads, count_nodes
 
 import gatedssm.numerics.tensor as T
 from gatedssm.numerics import Rng, Tensor, backward, no_grad
@@ -318,17 +318,6 @@ def test_ssm_apply_matches_per_column_scan():
     for col in range(4):
         want = scan(no_skip, x[:, col]) + float(p.d.data) * x[:, col]
         np.testing.assert_allclose(got[:, col], want, atol=1e-9)
-
-
-def count_nodes(out: Tensor) -> int:
-    """Tape nodes reachable from out."""
-    seen, stack = set(), [out]
-    while stack:
-        t = stack.pop()
-        if t.node is not None and id(t) not in seen:
-            seen.add(id(t))
-            stack.extend(t.node.inputs)
-    return len(seen)
 
 
 def test_ssm_apply_tape_node_count():

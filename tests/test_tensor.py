@@ -347,6 +347,88 @@ def test_embedding_range_error():
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+
+def composite_attention(q, k, v, n_heads):
+    """The attention core as separate tape ops: head split by reshape and
+    transpose, scores, scale, softmax, context, head merge. The oracle
+    that ``T.attention`` must reproduce bit for bit."""
+    lead, (length, d) = q.shape[:-2], q.shape[-2:]
+    d_head = d // n_heads
+    n = len(lead)
+    perm = tuple(range(n)) + (n + 1, n, n + 2)
+
+    def split(t):
+        return T.transpose(T.reshape(t, lead + (length, n_heads, d_head)),
+                           perm)
+
+    kt_perm = tuple(range(n + 1)) + (n + 2, n + 1)
+    scores = T.mul(T.matmul(split(q), T.transpose(split(k), kt_perm)),
+                   1.0 / np.sqrt(d_head))
+    ctx = T.matmul(T.softmax(scores, axis=-1), split(v))
+    return T.reshape(T.transpose(ctx, perm), lead + (length, d))
+
+
+ATTENTION_CASES = [(shape, h) for shape in ((6, 8), (3, 5, 8))
+                   for h in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("shape, n_heads", ATTENTION_CASES)
+def test_attention_matches_composite_bit_for_bit(shape, n_heads):
+    rng = Rng(41)
+    arrays = [rng.normal(shape, std=2.0) for _ in range(3)]
+    w = Tensor(rng.normal(shape))
+    results = []
+    for op in (composite_attention, T.attention):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        out = op(q, k, v, n_heads)
+        backward(nm.tsum(nm.mul(out, w)))
+        results.append((out.data, q.grad, k.grad, v.grad))
+    for want, got in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape, n_heads", ATTENTION_CASES)
+def test_attention_gradients(shape, n_heads):
+    rng = Rng(43)
+    q, k, v = (leaf(rng, shape) for _ in range(3))
+    w = Tensor(rng.normal(shape))
+
+    def f():
+        return nm.tsum(nm.mul(T.attention(q, k, v, n_heads), w))
+
+    check_grads(f, [("q", q), ("k", k), ("v", v)])
+
+
+def test_attention_no_grad_records_nothing_and_matches():
+    rng = Rng(45)
+    q, k, v = (leaf(rng, (2, 5, 8)) for _ in range(3))
+    recorded = T.attention(q, k, v, 2)
+    with no_grad():
+        plain = T.attention(q, k, v, 2)
+    assert recorded.node is not None and recorded.node.op == "attention"
+    assert plain.node is None
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+@pytest.mark.parametrize("shapes, n_heads, message", [
+    (((5, 8),) * 3, 0, "n_heads >= 1, got 0"),
+    (((5, 8),) * 3, -2, "n_heads >= 1, got -2"),
+    (((5, 6),) * 3, 4, "width 6 is not divisible by n_heads 4"),
+    (((5, 8), (4, 8), (5, 8)), 2, "queries and keys of one shape"),
+    (((5, 8), (5, 8), (5, 4)), 2, "values shaped like the queries"),
+    (((8,),) * 3, 1, "queries and keys of one shape"),
+    (((0, 8),) * 3, 1, "queries and keys of one shape"),
+])
+def test_attention_rejects_bad_input(shapes, n_heads, message):
+    q, k, v = (Tensor(np.ones(s)) for s in shapes)
+    with pytest.raises(ValueError, match=message) as info:
+        T.attention(q, k, v, n_heads)
+    assert "\n" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
 # causal convolution
 
 

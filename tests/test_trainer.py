@@ -481,6 +481,20 @@ def test_eval_uniform_baseline_and_validation():
         eval_mlm(cfg, params, ids, np.full_like(labels, -1))
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_eval_rejects_nonpositive_batch_size(batch_size, monkeypatch):
+    cfg = toy_cfg(dropout=0.0)
+    params = init_model(cfg, Rng(20))
+    ids, labels = toy_data(32, seed=9)
+    calls = []
+    monkeypatch.setattr(trainer, "forward_mlm",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError,
+                       match=f"^batch_size must be >= 1, got {batch_size}$"):
+        eval_mlm(cfg, params, ids, labels, batch_size=batch_size)
+    assert calls == []
+
+
 def full_logits_loss(cfg, params, ids, labels, *, train, rng):
     """The head on every position, then the masked loss: the oracle for
     `_batch_loss`, which runs the head on labeled positions only."""
