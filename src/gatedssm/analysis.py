@@ -8,9 +8,9 @@ model:
   for plotting, and CSV/JSON writers;
 * analytic cost estimates: closed-form FLOP counts per component for
   any config/length pair, with a CSV writer;
-* behavioral probes: empirical checks that the forward branch is causal
-  and the backward branch anti-causal, and that kernel routing is input
-  independent (unlike attention scores).
+* behavioral probes: an empirical check that the forward branch is
+  causal and the backward branch anti-causal, and the post-softmax
+  attention scores, which depend on the input where a kernel does not.
 
 Nothing here mutates the model; every function reads a snapshot.
 """
@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import AttentionParams, ModelConfig, ModelParams, _linear
+from .model import AttentionParams, ModelConfig, ModelParams
 from .numerics import Rng, no_grad
 from .numerics.tensor import attention_probs
 from .ssm import SsmParams, discretize, materialize_kernel, ssm_apply
@@ -327,32 +327,6 @@ def probe_causality(p: SsmParams, length: int,
     }
 
 
-def probe_static_routing(p: SsmParams, u1: np.ndarray,
-                         u2: np.ndarray) -> dict:
-    """Show that kernel routing ignores the input.
-
-    Materializes the kernel once per input and compares bit-for-bit;
-    also reports how far the outputs move, to rule out the vacuous case
-    where nothing depends on anything.
-    """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    if u1.shape != u2.shape:
-        raise ValueError("probe inputs must share a shape")
-    length = u1.shape[-2]
-    with no_grad():
-        k1 = np.array(materialize_kernel(discretize(p), length).data)
-        k2 = np.array(materialize_kernel(discretize(p), length).data)
-        y1 = np.array(ssm_apply(p, u1).data)
-        y2 = np.array(ssm_apply(p, u2).data)
-    kernel_delta = float(np.max(np.abs(k1 - k2)))
-    return {
-        "kernel_max_delta": kernel_delta,
-        "static": kernel_delta == 0.0,
-        "output_max_delta": float(np.max(np.abs(y1 - y2))),
-    }
-
-
 def attention_scores(x: np.ndarray, attn: AttentionParams,
                      n_heads: int) -> np.ndarray:
     """Post-softmax attention matrix, (heads, L, L), for contrast with
@@ -360,7 +334,4 @@ def attention_scores(x: np.ndarray, attn: AttentionParams,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("attention_scores expects a single (L, d) input")
-    with no_grad():
-        q = _linear(x, attn.w_q, attn.b_q).data
-        k = _linear(x, attn.w_k, attn.b_k).data
-    return attention_probs(q, k, n_heads)
+    return attention_probs(x @ attn.w_q.data, x @ attn.w_k.data, n_heads)

@@ -54,7 +54,6 @@ class ModelConfig:
     intermediate: Optional[int] = None
     dropout: float = 0.1
     use_position_embeddings: Optional[bool] = None
-    use_bias: bool = False
     dt_min: float = S.DT_MIN_DEFAULT
     dt_max: float = S.DT_MAX_DEFAULT
 
@@ -99,10 +98,6 @@ class AttentionParams:
     w_k: Tensor
     w_v: Tensor
     w_out: Optional[Tensor] = None
-    b_q: Optional[Tensor] = None
-    b_k: Optional[Tensor] = None
-    b_v: Optional[Tensor] = None
-    b_out: Optional[Tensor] = None
 
 
 @dataclass
@@ -122,13 +117,6 @@ class GatedBlockParams:
     ssm_bwd: Optional[S.SsmParams] = None
     attn_fwd: Optional[AttentionParams] = None
     attn_bwd: Optional[AttentionParams] = None
-    b_v: Optional[Tensor] = None
-    b_f: Optional[Tensor] = None
-    b_b: Optional[Tensor] = None
-    b_u1: Optional[Tensor] = None
-    b_u2: Optional[Tensor] = None
-    b_u: Optional[Tensor] = None
-    b_o: Optional[Tensor] = None
 
 
 @dataclass
@@ -146,10 +134,6 @@ class StackedBlockParams:
     ssm_bwd: Optional[S.SsmParams] = None
     proj_fwd: Optional[Tensor] = None
     proj_bwd: Optional[Tensor] = None
-    b_proj_fwd: Optional[Tensor] = None
-    b_proj_bwd: Optional[Tensor] = None
-    b_ffn1: Optional[Tensor] = None
-    b_ffn2: Optional[Tensor] = None
 
 
 @dataclass
@@ -164,10 +148,8 @@ class EmbeddingParams:
     token_table: Tensor
     position_table: Optional[Tensor] = None
     head_transform: Tensor = None
-    head_transform_bias: Optional[Tensor] = None
     head_ln_gain: Tensor = None
     head_ln_bias: Tensor = None
-    head_output_bias: Optional[Tensor] = None
 
 
 @dataclass
@@ -221,10 +203,6 @@ def _ones(n: int) -> Tensor:
     return Tensor(np.ones(n), requires_grad=True)
 
 
-def _maybe_bias(cfg: ModelConfig, n: int) -> Optional[Tensor]:
-    return _zeros(n) if cfg.use_bias else None
-
-
 def _init_attention(cfg: ModelConfig, rng: Rng,
                     with_out: bool) -> AttentionParams:
     d = cfg.d_model
@@ -232,9 +210,6 @@ def _init_attention(cfg: ModelConfig, rng: Rng,
         w_q=_weight(rng, d, d), w_k=_weight(rng, d, d),
         w_v=_weight(rng, d, d),
         w_out=_weight(rng, d, d) if with_out else None,
-        b_q=_maybe_bias(cfg, d), b_k=_maybe_bias(cfg, d),
-        b_v=_maybe_bias(cfg, d),
-        b_out=_maybe_bias(cfg, d) if with_out else None,
     )
 
 
@@ -250,10 +225,6 @@ def _init_gated_block(cfg: ModelConfig, rng: Rng) -> GatedBlockParams:
         w_f=_weight(rng, d, d), w_b=_weight(rng, d, d),
         w_u1=_weight(rng, d, d), w_u2=_weight(rng, d, d),
         w_u=_weight(rng, d, inner), w_o=_weight(rng, inner, d),
-        b_v=_maybe_bias(cfg, inner), b_f=_maybe_bias(cfg, d),
-        b_b=_maybe_bias(cfg, d), b_u1=_maybe_bias(cfg, d),
-        b_u2=_maybe_bias(cfg, d), b_u=_maybe_bias(cfg, inner),
-        b_o=_maybe_bias(cfg, d),
     )
     if cfg.routing == "ssm":
         blk.ssm_fwd = _init_ssm(cfg, rng)
@@ -270,7 +241,6 @@ def _init_stacked_block(cfg: ModelConfig, rng: Rng) -> StackedBlockParams:
         ln1_gain=_ones(d), ln1_bias=_zeros(d),
         ln2_gain=_ones(d), ln2_bias=_zeros(d),
         w_ffn1=_weight(rng, d, inner), w_ffn2=_weight(rng, inner, d),
-        b_ffn1=_maybe_bias(cfg, inner), b_ffn2=_maybe_bias(cfg, d),
     )
     if cfg.routing == "attention":
         blk.attn = _init_attention(cfg, rng, with_out=True)
@@ -279,8 +249,6 @@ def _init_stacked_block(cfg: ModelConfig, rng: Rng) -> StackedBlockParams:
         blk.ssm_bwd = _init_ssm(cfg, rng)
         blk.proj_fwd = _weight(rng, d, d)
         blk.proj_bwd = _weight(rng, d, d)
-        blk.b_proj_fwd = _maybe_bias(cfg, d)
-        blk.b_proj_bwd = _maybe_bias(cfg, d)
     return blk
 
 
@@ -295,9 +263,7 @@ def init_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
                    requires_grad=True)
             if cfg.use_position_embeddings else None),
         head_transform=_weight(rng, d, d),
-        head_transform_bias=_maybe_bias(cfg, d),
         head_ln_gain=_ones(d), head_ln_bias=_zeros(d),
-        head_output_bias=(_zeros(cfg.vocab_size) if cfg.use_bias else None),
     )
     init_block = (_init_gated_block if cfg.arch == "gated"
                   else _init_stacked_block)
@@ -312,11 +278,6 @@ def init_model(cfg: ModelConfig, rng: Rng) -> ModelParams:
 def flip(x, axis: int = -2) -> Tensor:
     """Reverse the sequence axis (rows by default)."""
     return T.flip(x, axis)
-
-
-def _linear(x, w: Tensor, b: Optional[Tensor]) -> Tensor:
-    y = T.matmul(x, w)
-    return T.add(y, b) if b is not None else y
 
 
 def dropout(x, p: float, rng: Optional[Rng], train: bool) -> Tensor:
@@ -338,10 +299,10 @@ def multihead_attention(x, p: AttentionParams, n_heads: int) -> Tensor:
     ``attention`` tape op.
     """
     x = T.as_tensor(x)
-    ctx = T.attention(_linear(x, p.w_q, p.b_q), _linear(x, p.w_k, p.b_k),
-                      _linear(x, p.w_v, p.b_v), n_heads)
+    ctx = T.attention(T.matmul(x, p.w_q), T.matmul(x, p.w_k),
+                      T.matmul(x, p.w_v), n_heads)
     if p.w_out is not None:
-        ctx = _linear(ctx, p.w_out, p.b_out)
+        ctx = T.matmul(ctx, p.w_out)
     return ctx
 
 
@@ -362,15 +323,13 @@ def gated_block(x, p: GatedBlockParams, *, dropout_p: float = 0.0,
             f"input width {x.shape[-1]} does not match block width {d}"
         )
     h = T.layer_norm(x, p.ln_gain, p.ln_bias)
-    value = T.gelu(_linear(h, p.w_v, p.b_v))
-    fwd = T.gelu(_linear(h, p.w_f, p.b_f))
-    bwd = T.gelu(_linear(flip(h), p.w_b, p.b_b))
-    u1 = _linear(_route_gated(fwd, p.ssm_fwd, p.attn_fwd, n_heads),
-                 p.w_u1, p.b_u1)
-    u2 = _linear(_route_gated(bwd, p.ssm_bwd, p.attn_bwd, n_heads),
-                 p.w_u2, p.b_u2)
-    u = T.gelu(_linear(T.mul(u1, flip(u2)), p.w_u, p.b_u))
-    out = _linear(T.mul(u, value), p.w_o, p.b_o)
+    value = T.gelu(T.matmul(h, p.w_v))
+    fwd = T.gelu(T.matmul(h, p.w_f))
+    bwd = T.gelu(T.matmul(flip(h), p.w_b))
+    u1 = T.matmul(_route_gated(fwd, p.ssm_fwd, p.attn_fwd, n_heads), p.w_u1)
+    u2 = T.matmul(_route_gated(bwd, p.ssm_bwd, p.attn_bwd, n_heads), p.w_u2)
+    u = T.gelu(T.matmul(T.mul(u1, flip(u2)), p.w_u))
+    out = T.matmul(T.mul(u, value), p.w_o)
     out = dropout(out, dropout_p, rng, train)
     return T.add(out, x)
 
@@ -386,10 +345,9 @@ def stacked_route(x, p: StackedBlockParams, routing: str,
     if routing == "attention":
         return multihead_attention(x, p.attn, n_heads)
     if routing == "ssm":
-        stage1 = _linear(S.ssm_apply(p.ssm_fwd, x),
-                         p.proj_fwd, p.b_proj_fwd)
-        return _linear(flip(S.ssm_apply(p.ssm_bwd, flip(stage1))),
-                       p.proj_bwd, p.b_proj_bwd)
+        stage1 = T.matmul(S.ssm_apply(p.ssm_fwd, x), p.proj_fwd)
+        return T.matmul(flip(S.ssm_apply(p.ssm_bwd, flip(stage1))),
+                        p.proj_bwd)
     raise ValueError(f"unknown routing {routing!r}")
 
 
@@ -406,8 +364,7 @@ def stacked_block(x, p: StackedBlockParams, routing: str, *,
     mixed = dropout(stacked_route(x, p, routing, n_heads),
                     dropout_p, rng, train)
     sub1 = T.layer_norm(T.add(x, mixed), p.ln1_gain, p.ln1_bias)
-    ffn = _linear(T.gelu(_linear(sub1, p.w_ffn1, p.b_ffn1)),
-                  p.w_ffn2, p.b_ffn2)
+    ffn = T.matmul(T.gelu(T.matmul(sub1, p.w_ffn1)), p.w_ffn2)
     ffn = dropout(ffn, dropout_p, rng, train)
     return T.layer_norm(T.add(sub1, ffn), p.ln2_gain, p.ln2_bias)
 
@@ -450,13 +407,9 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
                               dropout_p=p_drop, rng=rng, train=train)
     if rows is not None:
         h = T.embedding(T.reshape(h, (-1, cfg.d_model)), rows)
-    head = T.layer_norm(
-        T.gelu(_linear(h, emb.head_transform, emb.head_transform_bias)),
-        emb.head_ln_gain, emb.head_ln_bias)
-    logits = T.matmul(head, T.transpose(emb.token_table))
-    if emb.head_output_bias is not None:
-        logits = T.add(logits, emb.head_output_bias)
-    return logits
+    head = T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
+                        emb.head_ln_gain, emb.head_ln_bias)
+    return T.matmul(head, T.transpose(emb.token_table))
 
 
 # ---------------------------------------------------------------------------
@@ -473,43 +426,34 @@ def param_count(cfg: ModelConfig) -> dict:
 
     `block_weights` covers every dense weight matrix in one block
     (including attention projections when routing is attention);
-    `block_ssm` covers the state-space parameters; biases are zero
-    unless `use_bias` is set.
+    `block_ssm` covers the state-space parameters. Projections carry no
+    bias.
     """
     d, inner, n = cfg.d_model, cfg.intermediate, cfg.n_state
-    bias = cfg.use_bias
     if cfg.arch == "gated":
         weights = 3 * d * inner + 4 * d * d
-        biases = (2 * inner + 5 * d) if bias else 0
         norm = 2 * d
         if cfg.routing == "ssm":
             ssm = 2 * _ssm_param_count(n)
         else:
             ssm = 0
             weights += 2 * 3 * d * d
-            biases += 2 * 3 * d if bias else 0
     else:
         weights = 2 * d * inner
-        biases = (inner + d) if bias else 0
         norm = 4 * d
         if cfg.routing == "attention":
             ssm = 0
             weights += 4 * d * d
-            biases += 4 * d if bias else 0
         else:
             ssm = 2 * _ssm_param_count(n)
             weights += 2 * d * d
-            biases += 2 * d if bias else 0
-    per_block = weights + biases + norm + ssm
+    per_block = weights + norm + ssm
     embeddings = cfg.vocab_size * d
     if cfg.use_position_embeddings:
         embeddings += cfg.max_len * d
     head = d * d + 2 * d
-    if bias:
-        head += d + cfg.vocab_size
     counts = {
         "block_weights": weights,
-        "block_biases": biases,
         "block_layer_norm": norm,
         "block_ssm": ssm,
         "block_total": per_block,

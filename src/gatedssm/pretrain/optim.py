@@ -25,8 +25,8 @@ core."""
 class AdamW:
     """Bias-corrected Adam with decoupled weight decay.
 
-    Weight decay applies only to matrices (ndim >= 2); gains, biases and
-    the per-kernel state-space scalars are exempt, following the usual
+    Weight decay applies only to matrices (ndim >= 2); LayerNorm gains
+    and shifts and the SSM parameters are exempt, following the usual
     no-decay-on-norms convention. Gradient clipping is off unless
     `clip_norm` is set positive, and enabling it is an explicit choice.
     The moment decay rates and eps are the constants BETA1, BETA2, EPS.

@@ -13,7 +13,7 @@ import ctypes
 import os
 import re
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -295,10 +295,26 @@ def _drop_stored_b(entries: Dict[str, np.ndarray]) -> None:
                              f"everywhere: B is fixed at 1 + 0i")
 
 
+def _check_model_config(model_config: dict) -> None:
+    """Drop, in place, the `use_bias` key that checkpoints written while
+    projections could carry biases store as false; refuse it true, and
+    refuse any other key ModelConfig lacks."""
+    use_bias = model_config.pop("use_bias", False)
+    if use_bias:
+        raise ValueError(f"checkpoint model_config key 'use_bias' is "
+                         f"{use_bias!r}: projections no longer carry biases")
+    known = {f.name for f in fields(ModelConfig)}
+    for key in model_config:
+        if key not in known:
+            raise ValueError(f"checkpoint model_config has unknown key "
+                             f"{key!r}")
+
+
 def load_run_checkpoint(directory: str):
     """Rebuild (params, optimizer, meta) from a saved run checkpoint."""
     entries, meta = load_checkpoint(directory)
     _drop_stored_b(entries)
+    _check_model_config(meta["model_config"])
     cfg = ModelConfig(**meta["model_config"])
     params = init_model(cfg, _ZeroDraws())
     model_entries = {k: v for k, v in entries.items()

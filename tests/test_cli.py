@@ -121,14 +121,15 @@ def short_run(tmp_path_factory):
     ["extend", "{tmp}/nockpt", "{data}"],
     ["extend", "{ckpt}", "{data}"],
     ["train", "{data}", *MODEL_FLAGS, "--set", "train.warmup_frac=1.5"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "model.use_bias=true"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
         "prepare-tiny-vocab", "prepare-empty-corpus",
         "extend-no-checkpoint", "extend-same-length",
-        "train-warmup-frac-above-1"])
+        "train-warmup-frac-above-1", "train-use-bias"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
-                                             argv):
+                                             argv, capsys):
     (tmp_path / "empty.txt").write_text("\n \n")
     out = tmp_path / "out"
     data, ckpt = short_run
@@ -136,6 +137,8 @@ def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
             for a in argv]
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_train_eval_extend_dump_pipeline(tmp_path, corpus, capsys):

@@ -1,5 +1,7 @@
 """Model blocks: gating, attention, embeddings, parameter accounting."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import boost_gated_weights, check_grads, count_nodes
@@ -8,7 +10,10 @@ import gatedssm.numerics.tensor as T
 from gatedssm import ssm as S
 from gatedssm.model import (
     AttentionParams,
+    EmbeddingParams,
+    GatedBlockParams,
     ModelConfig,
+    StackedBlockParams,
     dropout,
     flip,
     forward_mlm,
@@ -290,22 +295,31 @@ def test_gated_block_bidirectional_coverage():
             assert np.all(row_effect > 1e-12), f"row {j} left gaps"
 
 
-def test_gated_block_forward_branch_is_causal():
-    # Backward branch forced to a constant via a zero weight and a
-    # nonzero bias. The entry norm works row by row, so the only
-    # remaining input-dependent paths run strictly left to right plus a
-    # local residual, and future perturbations cannot reach earlier rows.
-    cfg = toy_config(use_bias=True)
+def test_gated_block_forward_branch_is_causal(monkeypatch):
+    # Backward route held at a constant. The entry norm works row by
+    # row, so the only remaining input-dependent paths run strictly left
+    # to right plus a local residual, and future perturbations cannot
+    # reach earlier rows.
+    cfg = toy_config()
     blk = init_model(cfg, Rng(16)).blocks[0]
-    blk.w_b.data[:] = 0.0
-    blk.b_b.data[:] = 1.0
+    boost_gated_weights(blk)
+    real_apply = S.ssm_apply
+
+    def backward_route_constant(p, u):
+        if p is blk.ssm_bwd:
+            return Tensor(np.ones(u.shape))
+        return real_apply(p, u)
+
+    monkeypatch.setattr(S, "ssm_apply", backward_route_constant)
     L = 8
     x = Rng(17).normal((L, cfg.d_model))
     with no_grad():
         base = gated_block(Tensor(x), blk).data
         for j in range(1, L):
             pert = x.copy()
-            pert[j] += 1.0
+            # One feature only: a uniform shift would vanish in the
+            # entry LayerNorm and leave just the residual to move.
+            pert[j, j % cfg.d_model] += 1.0
             out = gated_block(Tensor(pert), blk).data
             assert np.max(np.abs(out[:j] - base[:j])) < 1e-12
             assert np.max(np.abs(out[j:] - base[j:])) > 1e-9
@@ -354,8 +368,7 @@ def test_gated_block_attention_routing_runs_and_differs():
 
 def test_gated_block_attention_gradients_all_parameters():
     # Attention routing without an output projection (w_out is None).
-    cfg = toy_config(routing="attention", d_model=8, n_heads=2, n_layers=1,
-                     use_bias=True)
+    cfg = toy_config(routing="attention", d_model=8, n_heads=2, n_layers=1)
     blk = init_model(cfg, Rng(25)).blocks[0]
     boost_gated_weights(blk)
     for attn in (blk.attn_fwd, blk.attn_bwd):
@@ -371,14 +384,7 @@ def test_gated_block_attention_gradients_all_parameters():
     from gatedssm.model import _named_block_params
     names = [("x", x)]
     names += [(n, t) for n, t in _named_block_params(blk) if t.requires_grad]
-    # A key bias adds q . b_k to every score of a row, which the softmax
-    # cancels: its gradient is zero up to rounding, and finite
-    # differences of it are noise.
-    key_biases = [t for n, t in names if n.endswith(".b_k")]
-    assert len(key_biases) == 2
-    check_grads(f, [(n, t) for n, t in names if not n.endswith(".b_k")])
-    for t in key_biases:
-        assert np.max(np.abs(t.grad)) < 1e-12
+    check_grads(f, names)
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +522,7 @@ def test_forward_mlm_all_four_variants_run():
     ("gated", "ssm"), ("gated", "attention"),
     ("stacked", "ssm"), ("stacked", "attention")])
 def test_forward_mlm_rows_match_full_logits(arch, routing):
-    cfg = toy_config(arch=arch, routing=routing, n_layers=1, n_heads=2,
-                     use_bias=True)
+    cfg = toy_config(arch=arch, routing=routing, n_layers=1, n_heads=2)
     params = init_model(cfg, Rng(64))
     for shape, rows in (((6,), [5, 0, 3, 3]),
                         ((3, 6), [17, 0, 7, 7, 12])):
@@ -532,8 +537,7 @@ def test_forward_mlm_rows_match_full_logits(arch, routing):
 
 
 def test_forward_mlm_rows_gradients():
-    cfg = toy_config(n_layers=1, d_model=4, n_state=2, vocab_size=11,
-                     use_bias=True)
+    cfg = toy_config(n_layers=1, d_model=4, n_state=2, vocab_size=11)
     params = init_model(cfg, Rng(66))
     tokens = np.array([[1, 4, 7, 2], [9, 3, 3, 6]])
     rows = np.array([0, 2, 5, 7])
@@ -629,13 +633,11 @@ def test_param_count_full_model_in_published_band():
 def test_param_count_matches_allocation_all_variants():
     for arch in ("gated", "stacked"):
         for routing in ("ssm", "attention"):
-            for use_bias in (False, True):
-                cfg = toy_config(arch=arch, routing=routing,
-                                 use_bias=use_bias, n_heads=2)
-                params = init_model(cfg, Rng(54))
-                want = param_count(cfg)["total"]
-                got = sum(t.data.size for _, t in params.named_parameters())
-                assert got == want, (arch, routing, use_bias, got, want)
+            cfg = toy_config(arch=arch, routing=routing, n_heads=2)
+            params = init_model(cfg, Rng(54))
+            want = param_count(cfg)["total"]
+            got = sum(t.data.size for _, t in params.named_parameters())
+            assert got == want, (arch, routing, got, want)
 
 
 def test_tied_head_shares_storage():
@@ -664,16 +666,14 @@ def test_named_parameters_stable_order():
 
 def test_named_parameters_pinned_order():
     # Checkpoints and AdamW state are keyed by these names, in this order.
-    gated = init_model(toy_config(n_layers=1, use_bias=True), Rng(57))
+    gated = init_model(toy_config(n_layers=1), Rng(57))
     ssm = ["log_neg_re", "im", "c_re", "c_im", "log_dt", "d"]
     want = (
         ["embeddings.token_table", "embeddings.head_transform",
-         "embeddings.head_transform_bias", "embeddings.head_ln_gain",
-         "embeddings.head_ln_bias", "embeddings.head_output_bias"]
+         "embeddings.head_ln_gain", "embeddings.head_ln_bias"]
         + ["blocks.0." + n for n in (
             "ln_gain", "ln_bias", "w_v", "w_f", "w_b", "w_u1", "w_u2",
-            "w_u", "w_o", "b_v", "b_f", "b_b", "b_u1", "b_u2", "b_u",
-            "b_o")]
+            "w_u", "w_o")]
         + ["blocks.0.ssm_fwd." + n for n in ssm]
         + ["blocks.0.ssm_bwd." + n for n in ssm])
     assert [n for n, _ in gated.named_parameters()] == want
@@ -689,3 +689,26 @@ def test_named_parameters_pinned_order():
     ]
     assert [n for n, _ in stacked.named_parameters()] == want
 
+
+def test_every_parameter_field_is_set_by_some_variant():
+    # A field that no variant fills is an option no model uses.
+    seen = set()
+
+    def collect(obj):
+        for f in fields(obj):
+            value = getattr(obj, f.name)
+            if value is not None:
+                seen.add((type(obj), f.name))
+            if isinstance(value, AttentionParams):
+                collect(value)
+
+    for arch in ("gated", "stacked"):
+        for routing in ("ssm", "attention"):
+            params = init_model(toy_config(arch=arch, routing=routing,
+                                           n_layers=1), Rng(59))
+            collect(params.embeddings)
+            collect(params.blocks[0])
+    for cls in (AttentionParams, GatedBlockParams, StackedBlockParams,
+                EmbeddingParams):
+        unset = [f.name for f in fields(cls) if (cls, f.name) not in seen]
+        assert unset == [], (cls.__name__, unset)

@@ -312,6 +312,16 @@ def store_b(ckpt: str, b_re: float = 1.0) -> None:
     save_checkpoint(ckpt, out, meta=meta)
 
 
+def store_model_config_key(ckpt: str, key: str = "use_bias",
+                           value=False) -> None:
+    """Rewrite a run checkpoint's `meta.model_config` with `key` set to
+    `value`; by default as it was written while ModelConfig had a
+    `use_bias` field, which every run left false."""
+    entries, meta = load_checkpoint(ckpt)
+    meta["model_config"][key] = value
+    save_checkpoint(ckpt, entries.items(), meta=meta)
+
+
 def check_resume_is_bit_exact(tmp_path, edit_checkpoint=None):
     """Train 10 steps, resume from the step-5 checkpoint (after
     `edit_checkpoint` rewrites it), and compare the two runs."""
@@ -349,6 +359,23 @@ def test_resume_is_bit_exact(tmp_path):
 
 def test_resume_from_checkpoint_with_stored_b_is_bit_exact(tmp_path):
     check_resume_is_bit_exact(tmp_path, store_b)
+
+
+def test_resume_from_checkpoint_with_use_bias_false_is_bit_exact(tmp_path):
+    check_resume_is_bit_exact(tmp_path, store_model_config_key)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("use_bias", True, r"^checkpoint model_config key 'use_bias' is True"),
+    ("bogus", 1, r"^checkpoint model_config has unknown key 'bogus'$"),
+], ids=["use-bias-true", "unknown-key"])
+def test_load_run_checkpoint_refuses_model_config_key(tmp_path, key, value,
+                                                      message):
+    ckpt = checkpointed_toy_run(tmp_path)
+    store_model_config_key(ckpt, key, value)
+    with pytest.raises(ValueError, match=message) as err:
+        load_run_checkpoint(ckpt)
+    assert "\n" not in str(err.value)
 
 
 def test_load_run_checkpoint_rejects_stored_b_other_than_one(tmp_path):
@@ -420,7 +447,7 @@ def test_nonfinite_loss_from_finite_parameters_says_so(tmp_path):
 def test_load_run_checkpoint_restores_saved_state_exactly(tmp_path, arch,
                                                           routing):
     ids, labels = toy_data(16, seed=12)
-    cfg = toy_cfg(arch=arch, routing=routing, use_bias=True)
+    cfg = toy_cfg(arch=arch, routing=routing)
     params = init_model(cfg, Rng(21))
     optimizer = AdamW(params.trainable_parameters(), weight_decay=0.01)
     out = str(tmp_path / "run")
@@ -516,7 +543,7 @@ def loss_and_grads(loss_fn, cfg, params, ids, labels):
     ("gated", "ssm"), ("gated", "attention"),
     ("stacked", "ssm"), ("stacked", "attention")])
 def test_batch_loss_matches_full_logits(arch, routing):
-    cfg = toy_cfg(arch=arch, routing=routing, n_heads=2, use_bias=True)
+    cfg = toy_cfg(arch=arch, routing=routing, n_heads=2)
     params = init_model(cfg, Rng(21))
     ids, labels = toy_data(4, seed=12)
     want, want_grads = loss_and_grads(full_logits_loss, cfg, params, ids,
