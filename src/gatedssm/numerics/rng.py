@@ -116,7 +116,9 @@ class Rng:
         """Uniform floats in [low, high). Scalar when shape is None."""
         n = 1 if shape is None else int(np.prod(shape))
         u = unit_floats(self._raw(n))
-        u = low + (high - low) * u
+        if low != 0.0 or high != 1.0:
+            # Skipped for [0, 1): the affine map is exact there.
+            u = low + (high - low) * u
         if shape is None:
             return float(u[0])
         return u.reshape(shape)

@@ -466,9 +466,14 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     data = table.data[ids]
 
     def rule(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        return (gt,)
+        # One weighted count over flat (row, column) slots adds the rows
+        # of g in id order, as np.add.at would, in one pass. (With no
+        # ids, bincount returns integer zeros.)
+        d = table.data.shape[1]
+        slots = ids.reshape(-1, 1).astype(np.intp) * d + np.arange(d)
+        gt = np.bincount(slots.reshape(-1), weights=g.reshape(-1),
+                         minlength=table.data.size)
+        return (gt.astype(np.float64, copy=False).reshape(table.data.shape),)
 
     return _record("embedding", data, (table,), rule)
 
@@ -850,47 +855,98 @@ def ssm_conv(log_neg_re, im, c_re, c_im, log_dt, d, u) -> Tensor:
 # loss
 
 
+CE_BLOCK = 1 << 17
+"""Elements per row block of ``masked_cross_entropy``. A block (1 MiB)
+stays in a core's 2 MiB of L2 through the shift, the exponential and
+the row sum. On (154, 30522) and (4096, 96) logits, the powers of two
+from 2^13 to 2^21 timed within one another's spread on a 2-vCPU Xeon
+with 2 MiB of L2 per core. Rows wider than a block go one at a time."""
+
+
+def labeled_rows(labels: np.ndarray) -> np.ndarray:
+    """Flat indices of the labeled entries of an integer label array.
+
+    A label is a class id >= 0, or -1 for an entry that does not count.
+    Any other negative value and non-integer labels raise, so every
+    caller that counts labeled positions counts the same ones.
+    """
+    labels = np.asarray(labels)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and labels.min() < -1:
+        raise ValueError(
+            f"labels must be class ids or -1 (unlabeled), got "
+            f"{int(labels.min())}"
+        )
+    return np.flatnonzero(labels >= 0)
+
+
 def masked_cross_entropy(logits, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy over labeled rows.
 
     logits: (rows, n_classes); labels: (rows,) integer ids with -1
-    marking rows that do not contribute. Softmax is computed in a
-    numerically stable shifted form. The forward pass keeps one
-    (labeled rows, n_classes) buffer of shifted exponentials, which the
-    backward rule normalizes into the softmax instead of recomputing it.
+    marking rows that do not contribute (checked by ``labeled_rows``).
+    The labeled rows are walked in blocks of about ``CE_BLOCK``
+    elements: each block is shifted by its row maxima, its targets are
+    picked, and it is exponentiated and summed while it is in cache.
+    When a tape node is recorded, the blocks land in one (labeled rows,
+    n_classes) buffer of shifted exponentials, which the backward rule
+    scales into the gradient in place and returns; the rule can
+    therefore run once, and a second call raises. When no node is
+    recorded (``no_grad``, or logits that need no gradient), every
+    block reuses one block-sized scratch, so nothing of the logits'
+    size is allocated. Every operation is row-local and in the order of
+    the unblocked formula, so the loss and gradient bits do not depend
+    on the block size.
     """
     logits = as_tensor(logits)
     labels = np.asarray(labels)
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-D, got {logits.data.shape}")
-    n_rows = logits.data.shape[0]
+    n_rows, n_classes = logits.data.shape
     if labels.shape != (n_rows,):
         raise ValueError(
             f"labels shape {labels.shape} does not match logits rows "
             f"{n_rows}"
         )
-    sel = np.nonzero(labels >= 0)[0]
+    sel = labeled_rows(labels)
     if sel.size == 0:
         raise ValueError("masked_cross_entropy: no labeled positions")
-    every_row = sel.size == n_rows
+    n = sel.size
+    every_row = n == n_rows
     tgt = labels[sel]
-    if tgt.max() >= logits.data.shape[1]:
+    if tgt.max() >= n_classes:
         raise ValueError("label id out of vocabulary range")
-    picked = np.arange(sel.size)
-    if every_row:
-        z = logits.data - logits.data.max(axis=1, keepdims=True)
-    else:
-        z = logits.data[sel]
-        z -= z.max(axis=1, keepdims=True)
-    z_tgt = z[picked, tgt]
-    e = np.exp(z, out=z)
-    total = e.sum(axis=1)
+    keep = _grad_enabled() and logits.requires_grad
+    step = max(1, CE_BLOCK // n_classes)
+    e = np.empty((n if keep else min(n, step), n_classes))
+    z_tgt = np.empty(n)
+    total = np.empty(n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        z = e[r0:r1] if keep else e[:r1 - r0]
+        if every_row:
+            x = logits.data[r0:r1]
+        else:
+            # sel holds valid rows; "clip" lets take write straight to z.
+            x = np.take(logits.data, sel[r0:r1], axis=0, out=z, mode="clip")
+        np.subtract(x, x.max(axis=1, keepdims=True), out=z)
+        z_tgt[r0:r1] = z[np.arange(r1 - r0), tgt[r0:r1]]
+        np.exp(z, out=z)
+        np.sum(z, axis=1, out=total[r0:r1])
     data = np.array(-(z_tgt - np.log(total)).mean())
 
     def rule(g):
-        scale = float(g) / sel.size
-        p = e * (scale / total)[:, None]
-        p[picked, tgt] -= scale
+        nonlocal e
+        if e is None:
+            raise RuntimeError(
+                "masked_cross_entropy: backward already ran through this "
+                "node, whose softmax buffer became its gradient"
+            )
+        p, e = e, None
+        scale = float(g) / n
+        np.multiply(p, (scale / total)[:, None], out=p)
+        p[np.arange(n), tgt] -= scale
         if every_row:
             return (p,)
         gl = np.zeros_like(logits.data)

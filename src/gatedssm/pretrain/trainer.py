@@ -335,7 +335,7 @@ def _batch_loss(cfg: ModelConfig, params: ModelParams, ids: np.ndarray,
                 labels: np.ndarray, *, train: bool,
                 rng: Optional[Rng]) -> T.Tensor:
     labels = labels.reshape(-1)
-    rows = np.nonzero(labels >= 0)[0]
+    rows = T.labeled_rows(labels)
     logits = forward_mlm(ids, cfg, params, train=train, rng=rng, rows=rows)
     return T.masked_cross_entropy(logits, labels[rows])
 
@@ -441,7 +441,7 @@ def eval_mlm(model_cfg: ModelConfig, params: ModelParams,
         for start in range(0, len(input_ids), batch_size):
             ids = input_ids[start:start + batch_size]
             lab = labels[start:start + batch_size]
-            n = int(np.sum(lab != IGNORE_LABEL))
+            n = T.labeled_rows(lab).size
             if n == 0:
                 continue
             loss = _batch_loss(model_cfg, params, ids, lab,

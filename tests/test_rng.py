@@ -65,6 +65,16 @@ def test_uniform_range_and_moments():
     assert u2.min() >= -2.0 and u2.max() < 5.0
 
 
+def test_uniform_default_range_is_the_affine_formula_bit_for_bit():
+    # [0, 1) skips low + (high - low) * u, which is exact there.
+    for shape in ((2, 2048, 64), (7,)):
+        n = int(np.prod(shape))
+        want = 0.0 + (1.0 - 0.0) * unit_floats(Rng(8)._raw(n))
+        got = Rng(8).uniform(shape)
+        assert np.array_equal(got.reshape(-1), want)
+    assert Rng(8).uniform() == float(unit_floats(Rng(8)._raw(1))[0])
+
+
 def test_normal_moments():
     z = Rng(11).normal((200_000,))
     assert abs(z.mean()) < 0.01

@@ -1,5 +1,8 @@
 """Autodiff tests: every op against oracles and finite differences."""
 
+import tracemalloc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from conftest import check_grads, finite_difference_grad, rel_err
@@ -340,6 +343,21 @@ def test_embedding_forward_and_gradient():
     np.testing.assert_array_equal(table.grad[1], np.zeros(3))
 
 
+@pytest.mark.parametrize("n_rows, d, ids_shape", [
+    (96, 64, (2, 2048)), (30522, 16, (1024,)), (7, 3, (0,))])
+def test_embedding_gradient_matches_add_at_bit_for_bit(n_rows, d, ids_shape):
+    rng = Rng(42)
+    table = Tensor(rng.normal((n_rows, d)), requires_grad=True)
+    # Few distinct ids, so most rows are hit many times.
+    ids = rng.integers(0, min(n_rows, 13), ids_shape)
+    w = rng.normal(ids_shape + (d,))
+    backward(nm.tsum(nm.mul(nm.embedding(table, ids), Tensor(w))))
+    want = np.zeros((n_rows, d))
+    np.add.at(want, ids.reshape(-1), w.reshape(-1, d))
+    assert table.grad.dtype == np.float64
+    np.testing.assert_array_equal(table.grad, want)
+
+
 def test_embedding_range_error():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="out of range"):
@@ -661,6 +679,111 @@ def test_masked_cross_entropy_every_row_labeled():
     backward(loss)
     np.testing.assert_allclose(padded.grad[:4], logits.grad, rtol=1e-14,
                                atol=1e-17)
+
+
+def unblocked_cross_entropy(logits, labels, g=1.0):
+    """The masked loss and its gradient as one pass over whole arrays,
+    with a shifted copy and a separate gradient buffer. The oracle that
+    ``T.masked_cross_entropy`` must reproduce bit for bit."""
+    sel = np.nonzero(labels >= 0)[0]
+    tgt = labels[sel]
+    picked = np.arange(sel.size)
+    z = logits[sel]
+    z -= z.max(axis=1, keepdims=True)
+    z_tgt = z[picked, tgt]
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    loss = -(z_tgt - np.log(total)).mean()
+    scale = g / sel.size
+    p = e * (scale / total)[:, None]
+    p[picked, tgt] -= scale
+    grad = np.zeros_like(logits)
+    grad[sel] = p
+    return loss, grad
+
+
+def ce_rows_per_block(n_classes):
+    return max(1, T.CE_BLOCK // n_classes)
+
+
+CE_CASES = {
+    "bert-width": (154, 30522, 0.0),
+    "toy-width": (40, 96, 0.0),
+    "partial-last-block": (2 * ce_rows_per_block(30522) + 1, 30522, 0.0),
+    "partial-last-block-narrow": (ce_rows_per_block(96) + 7, 96, 0.0),
+    "single-row": (1, 30522, 0.0),
+    "scattered-labels": (41, 30522, 0.4),
+    "scattered-labels-narrow": (3 * ce_rows_per_block(96) + 11, 96, 0.4),
+}
+
+
+@pytest.mark.parametrize("case", CE_CASES)
+def test_masked_cross_entropy_matches_unblocked_formula_bit_for_bit(case):
+    n, n_classes, unlabeled = CE_CASES[case]
+    rng = Rng(65)
+    logits = rng.normal((n, n_classes), std=3.0)
+    labels = rng.integers(0, n_classes, (n,))
+    labels[rng.uniform((n,)) < unlabeled] = -1
+    labels[0] = n_classes - 1
+    assert (labels == -1).any() == (unlabeled > 0)
+    g = 2.5
+    want_loss, want_grad = unblocked_cross_entropy(logits, labels, g)
+    x = Tensor(logits, requires_grad=True)
+    loss = nm.masked_cross_entropy(x, labels)
+    backward(nm.mul(loss, g))
+    assert float(loss.data) == want_loss
+    np.testing.assert_array_equal(x.grad, want_grad)
+    with no_grad():
+        plain = nm.masked_cross_entropy(x, labels)
+    assert plain.node is None and float(plain.data) == want_loss
+    assert float(nm.masked_cross_entropy(Tensor(logits), labels).data) \
+        == want_loss
+
+
+@pytest.mark.parametrize("every_row", [True, False])
+def test_masked_cross_entropy_without_tape_stays_below_one_buffer(every_row):
+    rng = Rng(66)
+    n, n_classes = 154, 30522
+    logits = Tensor(rng.normal((n, n_classes)), requires_grad=True)
+    labels = rng.integers(0, n_classes, (n,))
+    if not every_row:
+        labels[::5] = -1
+    buffer = (labels >= 0).sum() * n_classes * 8
+    peaks = []
+    # Under no_grad, and logits that need no gradient with the tape on.
+    for x, context in ((logits, no_grad), (Tensor(logits.data), nullcontext)):
+        tracemalloc.start()
+        try:
+            with context():
+                nm.masked_cross_entropy(x, labels)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < buffer / 8, (peaks, buffer)
+
+
+def test_masked_cross_entropy_second_backward_raises():
+    rng = Rng(67)
+    logits = leaf(rng, (5, 7))
+    loss = nm.masked_cross_entropy(logits, np.array([1, -1, 6, 0, 2]))
+    backward(loss)
+    first = logits.grad.copy()
+    with pytest.raises(RuntimeError, match="backward already ran") as info:
+        backward(loss)
+    assert "\n" not in str(info.value)
+    np.testing.assert_array_equal(logits.grad, first)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (np.array([1, -2, 0]), "class ids or -1 \\(unlabeled\\), got -2"),
+    (np.array([1, -1, -7]), "got -7"),
+    (np.array([1.0, -1.0, 0.0]), "labels must be integers, got dtype float64"),
+    (np.array([True, False, True]), "labels must be integers, got dtype bool"),
+], ids=["minus-two", "minus-seven", "float", "bool"])
+def test_masked_cross_entropy_rejects_bad_labels(labels, message):
+    with pytest.raises(ValueError, match=message) as info:
+        nm.masked_cross_entropy(Tensor(np.zeros((3, 4))), labels)
+    assert "\n" not in str(info.value)
 
 
 def test_masked_cross_entropy_requires_labels():

@@ -508,6 +508,31 @@ def test_eval_uniform_baseline_and_validation():
         eval_mlm(cfg, params, ids, np.full_like(labels, -1))
 
 
+@pytest.mark.parametrize("bad", [-2, -5])
+def test_eval_and_training_reject_labels_below_minus_one(bad):
+    # eval_mlm weights each batch by its labeled count and the loss
+    # averages over the same positions; another negative label would
+    # have counted in one and not the other.
+    cfg = toy_cfg(dropout=0.0)
+    params = init_model(cfg, Rng(20))
+    ids, labels = toy_data(8, seed=9)
+    labels = labels.copy()
+    labels[5, labels[5] == -1] = bad
+    message = f"^labels must be class ids or -1 \\(unlabeled\\), got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        eval_mlm(cfg, params, ids, labels, batch_size=4)
+    with pytest.raises(ValueError, match=message):
+        _batch_loss(cfg, params, ids, labels, train=True, rng=Rng(1))
+
+
+def test_eval_rejects_float_labels():
+    cfg = toy_cfg(dropout=0.0)
+    params = init_model(cfg, Rng(20))
+    ids, labels = toy_data(8, seed=9)
+    with pytest.raises(ValueError, match="^labels must be integers"):
+        eval_mlm(cfg, params, ids, labels.astype(np.float64))
+
+
 @pytest.mark.parametrize("batch_size", [0, -1])
 def test_eval_rejects_nonpositive_batch_size(batch_size, monkeypatch):
     cfg = toy_cfg(dropout=0.0)
