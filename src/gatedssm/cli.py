@@ -51,13 +51,11 @@ from .pretrain import (
 )
 
 DEFAULT_LENGTHS = (128, 512, 1024, 4096)
-DEFAULT_PREPARE = {
-    "vocab_size": 512,
-    "seq_len": 32,
-    "mask_rate": 0.15,
-    "n_shards": 1,
-    "holdout_fraction": 0.1,
-}
+# The CLI's own sizes; every other `prepare` key takes prepare_shards'
+# default.
+DEFAULT_PREPARE = {"vocab_size": 512, "seq_len": 32}
+# The `train` keys `extend` reads; the rest come from the checkpoint.
+EXTEND_TRAIN_KEYS = ("steps", "peak_lr", "batch_size")
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +165,7 @@ def _train_config(cfg: dict, **defaults) -> TrainConfig:
 def cmd_prepare(args, cfg) -> None:
     opts = dict(DEFAULT_PREPARE)
     opts.update(cfg["prepare"])
-    info = prepare_shards(
-        args.corpus, args.out,
-        vocab_size=int(opts["vocab_size"]),
-        seq_len=int(opts["seq_len"]),
-        mask_rate=float(opts["mask_rate"]),
-        seed=cfg["seed"],
-        n_shards=int(opts["n_shards"]),
-        holdout_fraction=float(opts["holdout_fraction"]),
-    )
+    info = prepare_shards(args.corpus, args.out, seed=cfg["seed"], **opts)
     _start_output(args, cfg)
     stats = dict(info["stats"])
     stats["vocab_size"] = info["vocab_size"]
@@ -212,10 +202,14 @@ def cmd_train(args, cfg) -> None:
 
 
 def cmd_extend(args, cfg) -> None:
+    opts = cfg["train"]
+    for key in opts:
+        if key not in EXTEND_TRAIN_KEYS:
+            raise ValueError(f"extend does not read train.{key}; it reads "
+                             f"only {', '.join(EXTEND_TRAIN_KEYS)}")
     _, train, _ = _load_prepared(args.data, need_train=True,
                                  need_heldout=False)
     ids, labels = train
-    opts = cfg["train"]
     params, train_cfg = load_extension(
         args.checkpoint, ids.shape[1], ids,
         steps=int(opts.get("steps", 100)),

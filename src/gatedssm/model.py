@@ -36,11 +36,11 @@ ROUTINGS = ("ssm", "attention")
 class ModelConfig:
     """Hyperparameters for one model instance.
 
-    `n_layers`, `intermediate` and `use_position_embeddings` may be left
-    None to pick the conventional default for the chosen architecture:
-    23 layers for gated, 24 for stacked; inner width 3x the model width
-    for gated and 4x for stacked; position embeddings only when routing
-    is attention (state-space kernels already encode position).
+    `n_layers` may be left None to pick the conventional depth for the
+    chosen architecture: 23 layers for gated, 24 for stacked. Two more
+    settings follow from the variant and are read-only properties: the
+    inner width (`intermediate`) and whether the model has a position
+    table (`use_position_embeddings`).
     """
 
     arch: str = "gated"
@@ -51,11 +51,7 @@ class ModelConfig:
     max_len: int = 128
     vocab_size: int = 30522
     n_heads: int = 16
-    intermediate: Optional[int] = None
     dropout: float = 0.1
-    use_position_embeddings: Optional[bool] = None
-    dt_min: float = S.DT_MIN_DEFAULT
-    dt_max: float = S.DT_MAX_DEFAULT
 
     def __post_init__(self):
         if self.arch not in ARCHS:
@@ -66,13 +62,7 @@ class ModelConfig:
             )
         if self.n_layers is None:
             self.n_layers = 23 if self.arch == "gated" else 24
-        if self.intermediate is None:
-            factor = 3 if self.arch == "gated" else 4
-            self.intermediate = factor * self.d_model
-        if self.use_position_embeddings is None:
-            self.use_position_embeddings = self.routing == "attention"
-        for name in ("n_layers", "d_model", "max_len", "vocab_size",
-                     "intermediate"):
+        for name in ("n_layers", "d_model", "max_len", "vocab_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -84,6 +74,18 @@ class ModelConfig:
                 )
         if self.routing == "ssm" and self.n_state % 2:
             raise ValueError("n_state must be even")
+
+    @property
+    def intermediate(self) -> int:
+        """Inner width: 3x the model width for gated blocks, 4x for
+        stacked ones."""
+        return (3 if self.arch == "gated" else 4) * self.d_model
+
+    @property
+    def use_position_embeddings(self) -> bool:
+        """Only attention routing needs a position table; state-space
+        kernels already encode position."""
+        return self.routing == "attention"
 
 
 @dataclass
@@ -214,7 +216,7 @@ def _init_attention(cfg: ModelConfig, rng: Rng,
 
 
 def _init_ssm(cfg: ModelConfig, rng: Rng) -> S.SsmParams:
-    return S.init_s4d(cfg.n_state, cfg.dt_min, cfg.dt_max, rng)
+    return S.init_s4d(cfg.n_state, rng)
 
 
 def _init_gated_block(cfg: ModelConfig, rng: Rng) -> GatedBlockParams:

@@ -88,7 +88,9 @@ class Rng:
     """SplitMix64 stream with vectorized draws.
 
     The only mutable state is a single 64-bit integer, exposed through
-    ``state`` so checkpoints can save and restore the stream exactly.
+    ``state`` so a stream can be saved and restored exactly. Nothing
+    persists an Rng: every stream a run draws from starts afresh from
+    ``derive_seed(seed, ...)``, so a resumed run rebuilds its streams.
     """
 
     def __init__(self, seed: int):

@@ -114,19 +114,16 @@ def masking_stats(input_ids: np.ndarray, labels: np.ndarray) -> dict:
 
 def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
                    seq_len: int, mask_rate: float = 0.15, seed: int = 0,
-                   n_shards: int = 1,
                    holdout_fraction: float = 0.1) -> dict:
     """Corpus file -> vocab file + masked train/heldout shard files.
 
     Chunks are masked offline. The heldout split takes chunk i whenever
     floor(i * holdout_fraction) steps up, so it holds the asked fraction
-    of the chunks to within one, spread evenly over the corpus; shard
-    contents are a pure function of (corpus bytes, seed, sizes). Bad
-    options, an empty corpus or one without tokens raise before
-    `out_dir` is created.
+    of the chunks to within one, spread evenly over the corpus; the
+    rest go to one train shard, `train-0000.bin`. Shard contents are a
+    pure function of (corpus bytes, seed, sizes). Bad options, an empty
+    corpus or one without tokens raise before `out_dir` is created.
     """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
     if not 0.0 <= holdout_fraction <= 0.5:
         raise ValueError(
             f"holdout_fraction must lie in [0, 0.5], got {holdout_fraction}")
@@ -155,20 +152,13 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     for split, rows in splits.items():
         if not len(rows):
             continue
-        parts = n_shards if split == "train" else 1
-        bounds = np.linspace(0, len(rows), parts + 1, dtype=int)
-        for si in range(parts):
-            part = rows[bounds[si]:bounds[si + 1]]
-            if not len(part):
-                continue
-            rng = Rng(derive_seed(seed, split, si))
-            ids, labels = mask_tokens(part, mask_rate, rng, len(vocab))
-            name = (f"{split}-{si:04d}.bin" if split == "train"
-                    else "heldout.bin")
-            path = os.path.join(out_dir, name)
-            write_shard(path, ids, labels)
-            paths[split].append(path)
-            stats_all.append(masking_stats(ids, labels))
+        rng = Rng(derive_seed(seed, split, 0))
+        ids, labels = mask_tokens(rows, mask_rate, rng, len(vocab))
+        name = "train-0000.bin" if split == "train" else "heldout.bin"
+        path = os.path.join(out_dir, name)
+        write_shard(path, ids, labels)
+        paths[split].append(path)
+        stats_all.append(masking_stats(ids, labels))
 
     agg = {key: sum(s[key] for s in stats_all)
            for key in ("maskable_positions", "selected", "masked",
@@ -295,27 +285,44 @@ def _drop_stored_b(entries: Dict[str, np.ndarray]) -> None:
                              f"everywhere: B is fixed at 1 + 0i")
 
 
-def _check_model_config(model_config: dict) -> None:
-    """Drop, in place, the `use_bias` key that checkpoints written while
-    projections could carry biases store as false; refuse it true, and
-    refuse any other key ModelConfig lacks."""
-    use_bias = model_config.pop("use_bias", False)
-    if use_bias:
-        raise ValueError(f"checkpoint model_config key 'use_bias' is "
-                         f"{use_bias!r}: projections no longer carry biases")
+# Keys that ModelConfig no longer has, each mapped to the value it now
+# takes for a given config. dt_min and dt_max only shaped
+# initialization, so any stored value loads (None).
+_RETIRED_KEYS = {
+    "dt_min": None,
+    "dt_max": None,
+    "use_bias": lambda cfg: False,
+    "intermediate": lambda cfg: cfg.intermediate,
+    "use_position_embeddings": lambda cfg: cfg.use_position_embeddings,
+}
+
+
+def _model_config_from_meta(model_config: dict) -> ModelConfig:
+    """The ModelConfig a checkpoint stores. Retired keys are dropped
+    from `model_config` in place; one whose stored value differs from
+    the value it now takes is refused, and so is any other key
+    ModelConfig lacks."""
+    retired = {key: model_config.pop(key) for key in list(model_config)
+               if key in _RETIRED_KEYS}
     known = {f.name for f in fields(ModelConfig)}
     for key in model_config:
         if key not in known:
             raise ValueError(f"checkpoint model_config has unknown key "
                              f"{key!r}")
+    cfg = ModelConfig(**model_config)
+    for key, value in retired.items():
+        derive = _RETIRED_KEYS[key]
+        if derive is not None and value != derive(cfg):
+            raise ValueError(f"checkpoint model_config key {key!r} is "
+                             f"{value!r}; this model takes {derive(cfg)!r}")
+    return cfg
 
 
 def load_run_checkpoint(directory: str):
     """Rebuild (params, optimizer, meta) from a saved run checkpoint."""
     entries, meta = load_checkpoint(directory)
     _drop_stored_b(entries)
-    _check_model_config(meta["model_config"])
-    cfg = ModelConfig(**meta["model_config"])
+    cfg = _model_config_from_meta(meta["model_config"])
     params = init_model(cfg, _ZeroDraws())
     model_entries = {k: v for k, v in entries.items()
                      if not k.startswith(("adam_m.", "adam_v."))}

@@ -31,8 +31,10 @@ import numpy as np
 from .numerics import Rng, Tensor
 from .numerics import tensor as T
 
-DT_MIN_DEFAULT = 1e-3
-DT_MAX_DEFAULT = 1e-1
+# Range of the initial step size dt, drawn log-uniformly (S4D, Gu et
+# al. 2022, arXiv 2206.11893).
+DT_MIN = 1e-3
+DT_MAX = 1e-1
 
 
 @dataclass
@@ -102,29 +104,23 @@ class DiscreteSsm:
                    Tensor(float(d)))
 
 
-def init_s4d(n_state: int, dt_min: float = DT_MIN_DEFAULT,
-             dt_max: float = DT_MAX_DEFAULT,
-             rng: Rng | None = None) -> SsmParams:
+def init_s4d(n_state: int, rng: Rng) -> SsmParams:
     """Diagonal-linear initialization.
 
     Stored (half-pair) entries are Lambda_n = -1/2 + i*pi*n for
     n = 0..n_state/2 - 1; C has unit-normal re/im components; log_dt
-    is uniform in [log dt_min, log dt_max]; the skip D starts at 1.
+    is uniform in [log DT_MIN, log DT_MAX]; the skip D starts at 1.
     Every field is trainable. n_state counts full conjugate pairs and
     must be even.
     """
     if n_state % 2 != 0 or n_state < 2:
         raise ValueError(f"n_state must be even and >= 2, got {n_state}")
-    if not (0 < dt_min < dt_max):
-        raise ValueError(f"need 0 < dt_min < dt_max, got [{dt_min}, {dt_max}]")
-    if rng is None:
-        rng = Rng(0)
     half = n_state // 2
     log_neg_re = Tensor(np.full(half, np.log(0.5)), requires_grad=True)
     im = Tensor(np.pi * np.arange(half, dtype=np.float64), requires_grad=True)
     c_re = Tensor(rng.normal((half,)), requires_grad=True)
     c_im = Tensor(rng.normal((half,)), requires_grad=True)
-    log_dt = Tensor(rng.uniform(None, np.log(dt_min), np.log(dt_max)),
+    log_dt = Tensor(rng.uniform(None, np.log(DT_MIN), np.log(DT_MAX)),
                     requires_grad=True)
     d = Tensor(1.0, requires_grad=True)
     return SsmParams(log_neg_re, im, c_re, c_im, log_dt, d)

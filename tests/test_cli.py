@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from gatedssm.cli import main
-from gatedssm.pretrain import Vocab, generate_corpus, read_shard
+from gatedssm.pretrain import (
+    Vocab,
+    generate_corpus,
+    read_shard,
+    write_shard,
+)
 
 MODEL_FLAGS = [
     "--set", "model.d_model=16", "--set", "model.n_state=4",
@@ -81,22 +86,38 @@ def test_prepare_round_trips_tokens(tmp_path):
     assert vocab.encode(words) == ids[untouched].tolist()
 
 
+def test_train_reads_every_train_shard(tmp_path, corpus):
+    # prepare writes one train shard; directories from before that held
+    # several, and train still reads them all, in name order.
+    data = prepared_dir(tmp_path, corpus)
+    ids, labels = read_shard(os.path.join(data, "train-0000.bin"))
+    split = tmp_path / "split"
+    split.mkdir()
+    for name in ("vocab.txt", "heldout.bin"):
+        (split / name).write_bytes(open(os.path.join(data, name),
+                                        "rb").read())
+    half = len(ids) // 2
+    write_shard(str(split / "train-0000.bin"), ids[:half], labels[:half])
+    write_shard(str(split / "train-0001.bin"), ids[half:], labels[half:])
+    losses = []
+    for src in (data, str(split)):
+        run = str(tmp_path / ("run-" + os.path.basename(src)))
+        assert main(["train", src, "--out", run, *MODEL_FLAGS,
+                     *TRAIN_FLAGS]) == 0
+        losses.append(open(os.path.join(run, "loss.csv"), "rb").read())
+    assert losses[0] == losses[1]
+
+
 def test_prepare_missing_corpus_fails(tmp_path, capsys):
     assert main(["prepare", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "d")]) == 1
     assert "error:" in capsys.readouterr().err
 
 
-def test_prepare_rejects_zero_shards(tmp_path, corpus, capsys):
-    assert main(["prepare", corpus, "--out", str(tmp_path / "d"),
-                 "--set", "prepare.n_shards=0"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: n_shards") and err.count("\n") == 1
-
-
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
-    """A prepared length-32 directory and a checkpoint trained on it."""
+    """A prepared length-32 directory, a checkpoint trained on it, and a
+    prepared length-64 directory to extend it on."""
     tmp = tmp_path_factory.mktemp("short_run")
     corpus = str(tmp / "corpus.txt")
     generate_corpus(corpus, n_docs=20, doc_len=96, n_words=40, seed=3)
@@ -104,7 +125,8 @@ def short_run(tmp_path_factory):
     run = str(tmp / "run")
     assert main(["train", data, "--out", run, *MODEL_FLAGS,
                  *TRAIN_FLAGS]) == 0
-    return data, os.path.join(run, "checkpoint")
+    data64 = prepared_dir(tmp, corpus, "data64", seq_len=64)
+    return data, os.path.join(run, "checkpoint"), data64
 
 
 @pytest.mark.parametrize("argv", [
@@ -122,18 +144,28 @@ def short_run(tmp_path_factory):
     ["extend", "{ckpt}", "{data}"],
     ["train", "{data}", *MODEL_FLAGS, "--set", "train.warmup_frac=1.5"],
     ["train", "{data}", *MODEL_FLAGS, "--set", "model.use_bias=true"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "model.intermediate=48"],
+    ["train", "{data}", *MODEL_FLAGS,
+     "--set", "model.use_position_embeddings=false"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "model.dt_min=0.01"],
+    ["prepare", "{corpus}", "--set", "prepare.vocab_sz=20"],
+    ["extend", "{ckpt}", "{data64}", "--set", "train.weight_decay=5.0"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
         "prepare-tiny-vocab", "prepare-empty-corpus",
         "extend-no-checkpoint", "extend-same-length",
-        "train-warmup-frac-above-1", "train-use-bias"])
+        "train-warmup-frac-above-1", "train-use-bias",
+        "train-intermediate", "train-use-position-embeddings",
+        "train-dt-min", "prepare-misspelled-key",
+        "extend-unread-train-key"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
                                              argv, capsys):
     (tmp_path / "empty.txt").write_text("\n \n")
     out = tmp_path / "out"
-    data, ckpt = short_run
-    argv = [a.format(corpus=corpus, tmp=tmp_path, data=data, ckpt=ckpt)
+    data, ckpt, data64 = short_run
+    argv = [a.format(corpus=corpus, tmp=tmp_path, data=data, ckpt=ckpt,
+                     data64=data64)
             for a in argv]
     assert main(argv + ["--out", str(out)]) == 1
     assert not out.exists()

@@ -64,6 +64,18 @@ def test_config_defaults_by_arch():
     assert s.use_position_embeddings
 
 
+def test_config_derived_settings_are_read_only():
+    assert len(fields(ModelConfig)) == 9
+    cfg = ModelConfig(arch="stacked", routing="ssm", d_model=8)
+    assert cfg.intermediate == 32 and not cfg.use_position_embeddings
+    with pytest.raises(AttributeError):
+        cfg.intermediate = 16
+    for key in ("intermediate", "use_position_embeddings", "dt_min",
+                "dt_max"):
+        with pytest.raises(TypeError, match=key):
+            ModelConfig(**{key: 1})
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="arch"):
         ModelConfig(arch="conv")
@@ -354,8 +366,7 @@ def test_gated_block_gradients_all_parameters():
 
 
 def test_gated_block_attention_routing_runs_and_differs():
-    cfg = toy_config(routing="attention", d_model=8, n_heads=2,
-                     use_position_embeddings=False)
+    cfg = toy_config(routing="attention", d_model=8, n_heads=2)
     blk = init_model(cfg, Rng(23)).blocks[0]
     boost_gated_weights(blk)
     assert blk.ssm_fwd is None and blk.attn_fwd is not None

@@ -10,6 +10,8 @@ from conftest import check_grads, count_nodes
 import gatedssm.numerics.tensor as T
 from gatedssm.numerics import Rng, Tensor, backward, no_grad
 from gatedssm.ssm import (
+    DT_MAX,
+    DT_MIN,
     DiscreteSsm,
     SsmParams,
     convolve,
@@ -60,8 +62,9 @@ def test_init_s4d_rejects_odd():
 
 def test_init_s4d_dt_range_sampling():
     rng = Rng(42)
-    lo, hi = np.log(0.001), np.log(0.1)
-    samples = [float(init_s4d(4, 0.001, 0.1, rng).log_dt.data)
+    assert (DT_MIN, DT_MAX) == (0.001, 0.1)
+    lo, hi = np.log(DT_MIN), np.log(DT_MAX)
+    samples = [float(init_s4d(4, rng).log_dt.data)
                for _ in range(1000)]
     assert min(samples) >= lo and max(samples) < hi
     # Spread should cover most of the interval.

@@ -140,10 +140,11 @@ def test_prepare_shards_outputs_and_determinism(tmp_path):
     for tag in ("a", "b"):
         out = str(tmp_path / tag)
         info = prepare_shards(corpus, out, vocab_size=64, seq_len=16,
-                              seed=5, n_shards=2)
+                              seed=5)
         outs.append((out, info))
     info = outs[0][1]
-    assert len(info["train_paths"]) == 2
+    assert [os.path.basename(p) for p in info["train_paths"]] == [
+        "train-0000.bin"]
     assert len(info["heldout_paths"]) == 1
     assert info["vocab_size"] <= 64
     assert 0.13 <= info["stats"]["selected_fraction"] <= 0.17
@@ -184,7 +185,7 @@ def test_prepare_shards_realizes_holdout_fraction(tmp_path, fraction):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("n_shards", 0), ("n_shards", -1), ("holdout_fraction", 0.7),
+    ("holdout_fraction", 0.7),
     ("holdout_fraction", 1.0), ("holdout_fraction", -0.1),
     ("seq_len", 0), ("seq_len", -4), ("mask_rate", 1.5), ("mask_rate", 0.0),
     ("vocab_size", 3),
@@ -365,10 +366,45 @@ def test_resume_from_checkpoint_with_use_bias_false_is_bit_exact(tmp_path):
     check_resume_is_bit_exact(tmp_path, store_model_config_key)
 
 
+def store_retired_model_config_keys(ckpt: str) -> None:
+    """Rewrite a run checkpoint's `meta.model_config` as it was written
+    while ModelConfig still stored `intermediate`,
+    `use_position_embeddings`, `dt_min` and `dt_max`, at the values
+    every run used."""
+    store_model_config_key(ckpt, "intermediate", 3 * toy_cfg().d_model)
+    store_model_config_key(ckpt, "use_position_embeddings", False)
+    store_model_config_key(ckpt, "dt_min", 1e-3)
+    store_model_config_key(ckpt, "dt_max", 1e-1)
+
+
+def test_resume_from_checkpoint_with_retired_keys_is_bit_exact(tmp_path):
+    check_resume_is_bit_exact(tmp_path, store_retired_model_config_keys)
+
+
+def test_load_run_checkpoint_ignores_stored_dt_range(tmp_path):
+    ckpt = checkpointed_toy_run(tmp_path)
+    want, _, _ = load_run_checkpoint(ckpt)
+    store_model_config_key(ckpt, "dt_min", 0.05)
+    store_model_config_key(ckpt, "dt_max", 0.5)
+    params, _, meta = load_run_checkpoint(ckpt)
+    assert params.config == want.config
+    assert "dt_min" not in meta["model_config"]
+    for (_, a), (_, b) in zip(want.named_parameters(),
+                              params.named_parameters()):
+        assert np.array_equal(a.data, b.data)
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("use_bias", True, r"^checkpoint model_config key 'use_bias' is True"),
+    ("intermediate", 64,
+     r"^checkpoint model_config key 'intermediate' is 64; "
+     r"this model takes 96$"),
+    ("use_position_embeddings", True,
+     r"^checkpoint model_config key 'use_position_embeddings' is True; "
+     r"this model takes False$"),
     ("bogus", 1, r"^checkpoint model_config has unknown key 'bogus'$"),
-], ids=["use-bias-true", "unknown-key"])
+], ids=["use-bias-true", "intermediate-mismatch",
+        "ssm-with-position-embeddings", "unknown-key"])
 def test_load_run_checkpoint_refuses_model_config_key(tmp_path, key, value,
                                                       message):
     ckpt = checkpointed_toy_run(tmp_path)
