@@ -150,9 +150,11 @@ def _model_config(cfg: dict, vocab_len: int, seq_len: int) -> ModelConfig:
     return ModelConfig(**fields)
 
 
-def _train_config(cfg: dict, **defaults) -> TrainConfig:
-    fields = dict(defaults)
-    fields.update(cfg["train"])
+def _train_config(cfg: dict) -> TrainConfig:
+    fields = dict(cfg["train"])
+    if "seed" in fields:
+        raise ValueError("train.seed is not read; set the seed with --seed "
+                         "or the top-level \"seed\" key")
     fields["seed"] = cfg["seed"]
     fields.setdefault("steps", 100)
     return TrainConfig(**fields)

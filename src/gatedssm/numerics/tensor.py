@@ -329,6 +329,49 @@ def atan2(y, x) -> Tensor:
     return _record("atan2", data, (y, x), rule)
 
 
+GELU_BLOCK = 1 << 14
+"""Elements per block of ``gelu``'s forward. A block's input, output,
+Phi and four scratch arrays (896 KiB) stay in a core's 2 MiB of L2
+through the forward's 27 passes. On (2, 2048, 192) inputs, the powers of two from 2^13 to 2^16 timed within
+one another's spread on a 2-vCPU Xeon with 2 MiB of L2 per core; 2^12
+paid more in call overhead and 2^17 left L2."""
+
+# cephes' erf on |y| <= 1 is y * T(y^2) / U(y^2), with T evaluated by
+# polevl and U by p1evl (leading coefficient 1). scipy.special.erf runs
+# exactly these operations, so the rational gives its bits.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+
+
+def _erf_into(y: np.ndarray, out: np.ndarray, z: np.ndarray,
+              t: np.ndarray, u: np.ndarray) -> None:
+    """``out = scipy.special.erf(y)`` bit for bit, using scratch z, t, u.
+
+    Every entry takes cephes' rational branch in whole-array passes, in
+    cephes' operation order. Entries past its branch point (y*y > 1),
+    and nan, are then overwritten by scipy's erf itself.
+    """
+    np.multiply(y, y, out=z)
+    np.multiply(z, _ERF_T[0], out=t)
+    t += _ERF_T[1]
+    for c in _ERF_T[2:]:
+        t *= z
+        t += c
+    np.add(z, _ERF_U[0], out=u)
+    for c in _ERF_U[1:]:
+        u *= z
+        u += c
+    np.multiply(y, t, out=out)
+    out /= u
+    tail = np.flatnonzero(~(z <= 1.0))
+    if tail.size:
+        out[tail] = _erf(y[tail])
+
+
 def gelu(a) -> Tensor:
     """Exact-erf GELU: x * Phi(x) with Phi the standard normal CDF.
 
@@ -336,18 +379,44 @@ def gelu(a) -> Tensor:
     tanh approximation differs from it by up to 4.7e-4, so switching
     would change the model, not just its speed; both forms have exact
     closed-form derivatives, so finite-difference checks hold for either.
+
+    Phi = 0.5 * (1 + erf(x / sqrt 2)) is formed in blocks of
+    ``GELU_BLOCK`` elements. For |x| <= sqrt 2, scipy's erf is cephes'
+    rational y * T(y^2) / U(y^2) with y = x / sqrt 2. ``_erf_into``
+    runs it as whole-array numpy passes in cephes' operation order, so
+    it gives scipy's bits at numpy speed; only the entries beyond, and
+    inf and nan, go to scipy's erf, whose other branch is not
+    transcribed. When a node is recorded, Phi is kept whole for the
+    backward, g * (Phi + x * exp(-x * x / 2) / sqrt(2 pi)); otherwise it
+    lives in one block-sized scratch, so nothing of the input's size is
+    kept. Every operation is elementwise and in the order of the plain
+    formulas, so the bits do not depend on the block size.
     """
     a = as_tensor(a)
-    # 0.5 * (1 + erf(x / sqrt 2)) and, below, g * (cdf + x * pdf) with
-    # pdf = exp(-x * x / 2) / sqrt(2 pi), each built in one buffer: the
-    # same IEEE operations in the same order, without the temporaries.
-    cdf = a.data / _SQRT2
-    _erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    data = a.data * cdf
+    x = a.data.reshape(-1)
+    n = x.size
+    data = np.empty(a.data.shape)
+    out = data.reshape(-1)
+    keep = _grad_enabled() and a.requires_grad
+    cdf = np.empty(a.data.shape if keep else min(n, GELU_BLOCK))
+    phi = cdf.reshape(-1)
+    y, z, t, u = np.empty((4, min(n, GELU_BLOCK)))
+    # The rational overflows or divides inf by inf only on entries that
+    # scipy's erf then overwrites, so those warnings say nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, GELU_BLOCK):
+            j = min(i + GELU_BLOCK, n)
+            xb, yb = x[i:j], y[:j - i]
+            cb = phi[i:j] if keep else phi[:j - i]
+            np.divide(xb, _SQRT2, out=yb)
+            _erf_into(yb, cb, z[:j - i], t[:j - i], u[:j - i])
+            cb += 1.0
+            cb *= 0.5
+            np.multiply(xb, cb, out=out[i:j])
 
     def rule(g):
+        # g * (cdf + x * pdf), pdf = exp(-x * x / 2) / sqrt(2 pi), built
+        # in one buffer. Walked in blocks, it timed slower on toy shapes.
         grad = a.data * -0.5
         grad *= a.data
         np.exp(grad, out=grad)

@@ -150,6 +150,7 @@ def short_run(tmp_path_factory):
     ["train", "{data}", *MODEL_FLAGS, "--set", "model.dt_min=0.01"],
     ["prepare", "{corpus}", "--set", "prepare.vocab_sz=20"],
     ["extend", "{ckpt}", "{data64}", "--set", "train.weight_decay=5.0"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.seed=5"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
@@ -158,7 +159,7 @@ def short_run(tmp_path_factory):
         "train-warmup-frac-above-1", "train-use-bias",
         "train-intermediate", "train-use-position-embeddings",
         "train-dt-min", "prepare-misspelled-key",
-        "extend-unread-train-key"])
+        "extend-unread-train-key", "train-seed-key"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
                                              argv, capsys):
     (tmp_path / "empty.txt").write_text("\n \n")
@@ -285,3 +286,17 @@ def test_bad_config_file_fails(tmp_path, capsys):
     assert main(["flops", "--out", str(tmp_path / "f"),
                  "--config", cfg_path]) == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_train_seed_in_config_file_is_refused(tmp_path, short_run, capsys):
+    # The run's seed is the top-level one; a train.seed would be recorded
+    # in config.json without shaping the run.
+    data = short_run[0]
+    cfg_path = str(tmp_path / "cfg.json")
+    json.dump({"train": {"seed": 5}}, open(cfg_path, "w"))
+    out = tmp_path / "out"
+    assert main(["train", data, "--out", str(out), "--config", cfg_path,
+                 *MODEL_FLAGS]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--seed" in err and err.count("\n") == 1, err

@@ -172,6 +172,85 @@ def test_gelu_matches_erf_formula_bit_for_bit(shape):
     np.testing.assert_array_equal(g, g_seen)
 
 
+def assert_same_bits(got, want):
+    """Equal as IEEE bit patterns: signed zeros and nan payloads too."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def gelu_edge_input(size):
+    """std-0.2 and std-3 entries alternating, with the special values at
+    both ends: signed zeros, infinities, nan, the smallest subnormal,
+    +-40, and the x whose x / sqrt 2 are +-1 and their neighbours."""
+    rng = Rng(44)
+    x = np.where(np.arange(size) % 2 == 0, rng.normal((size,), std=0.2),
+                 rng.normal((size,), std=3.0))
+    root2 = T._SQRT2
+    edge = [np.nextafter(root2, 0.0), root2, np.nextafter(root2, 2.0)]
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                         -5e-324, 40.0, -40.0, *edge,
+                         *(-e for e in edge)])
+    y = specials / np.sqrt(2.0)
+    for v in (1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+        assert v in y and -v in y
+    k = min(size, specials.size)
+    x[:k] = specials[:k]
+    x[size - k:] = specials[::-1][:k]
+    return x
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, T.GELU_BLOCK - 1, T.GELU_BLOCK, T.GELU_BLOCK + 1,
+    3 * T.GELU_BLOCK + 7,
+], ids=["empty", "one", "block-1", "block", "block+1", "3-blocks+7"])
+def test_gelu_across_blocks_and_special_values_bit_for_bit(size):
+    a = gelu_edge_input(size)
+    g = Rng(45).normal((size,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        cdf = 0.5 * (1.0 + erf(a / np.sqrt(2.0)))
+        pdf = float(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * a * a)
+        want_y = a * cdf
+        want_gx = g * (cdf + a * pdf)
+        x = Tensor(a, requires_grad=True)
+        y = nm.gelu(x)
+        rule = y.node.backward_rule
+        kept = dict(zip(rule.__code__.co_freevars,
+                        (c.cell_contents for c in rule.__closure__)))
+        (gx,) = rule(g)
+        with no_grad():
+            plain = nm.gelu(x)
+    assert_same_bits(y.data, want_y)
+    assert_same_bits(kept["cdf"], cdf)
+    assert_same_bits(gx, want_gx)
+    assert plain.node is None
+    assert_same_bits(plain.data, want_y)
+
+
+def test_gelu_rational_is_scipy_erf_bit_for_bit():
+    # gelu's bits rest on this: on |y| <= 1 scipy's erf is cephes'
+    # rational, which the op evaluates itself. A scipy build whose erf
+    # differs there fails here.
+    y = np.linspace(-1.0, 1.0, 1 << 20)
+    assert y[0] == -1.0 and y[-1] == 1.0
+    out, z, t, u = np.empty((4, y.size))
+    T._erf_into(y, out, z, t, u)
+    assert (z <= 1.0).all()
+    assert_same_bits(out, erf(y))
+
+
+def test_gelu_without_tape_keeps_nothing_of_the_input_size():
+    x = Tensor(Rng(46).normal((2, 2048, 192)), requires_grad=True)
+    output = x.data.nbytes
+    tracemalloc.start()
+    try:
+        with no_grad():
+            nm.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < output + (1 << 20), (peak, output)
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checks, one op at a time
 
