@@ -214,7 +214,7 @@ def cmd_extend(args, cfg) -> None:
     ids, labels = train
     params, train_cfg = load_extension(
         args.checkpoint, ids.shape[1], ids,
-        steps=int(opts.get("steps", 100)),
+        steps=opts.get("steps", 100),
         lr=float(opts.get("peak_lr", 1e-4)),
         seed=cfg["seed"],
         batch_size=opts.get("batch_size"),
@@ -260,10 +260,14 @@ def cmd_dump_kernels(args, cfg) -> None:
 def _lengths(cfg: dict) -> List[int]:
     raw = cfg.get("lengths", list(DEFAULT_LENGTHS))
     if isinstance(raw, str):
-        raw = [part for part in raw.split(",") if part]
-    elif isinstance(raw, (int, float)):
+        raw = [int(part) if part.strip().isdecimal() else part
+               for part in raw.split(",") if part]
+    elif not isinstance(raw, list):
         raw = [raw]
-    return [int(v) for v in raw]
+    if not raw or not all(type(v) is int and v >= 1 for v in raw):
+        raise ValueError(f"lengths must be one or more positive integers, "
+                         f"got {cfg['lengths']!r}")
+    return raw
 
 
 def cmd_flops(args, cfg) -> None:

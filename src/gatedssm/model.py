@@ -32,6 +32,18 @@ ARCHS = ("gated", "stacked")
 ROUTINGS = ("ssm", "attention")
 
 
+def check_integer_fields(config, minimums: dict) -> None:
+    """Each field named in `minimums` must hold a Python or numpy
+    integer, not a bool, and be no smaller than its minimum, if any."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value,
+                                                     (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
 @dataclass
 class ModelConfig:
     """Hyperparameters for one model instance.
@@ -62,9 +74,9 @@ class ModelConfig:
             )
         if self.n_layers is None:
             self.n_layers = 23 if self.arch == "gated" else 24
-        for name in ("n_layers", "d_model", "max_len", "vocab_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        check_integer_fields(self, {
+            "n_layers": 1, "d_model": 1, "max_len": 1, "vocab_size": 1,
+            "n_state": None, "n_heads": None})
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.routing == "attention":

@@ -3,13 +3,7 @@ training loop, and length extension."""
 
 from .corpus import generate_corpus, generate_documents
 from .masking import IGNORE_LABEL, mask_tokens
-from .optim import (
-    SCHEDULES,
-    AdamW,
-    constant_lr,
-    cosine_warmup_lr,
-    linear_warmup_lr,
-)
+from .optim import SCHEDULES, AdamW, constant_lr, cosine_warmup_lr
 from .shards import read_shard, write_shard
 from .trainer import (
     FINAL_CHECKPOINT,
@@ -44,8 +38,8 @@ __all__ = [
     "PAD", "SCHEDULES", "SEP", "SPECIAL_TOKENS", "TrainConfig", "UNK",
     "Vocab", "build_vocab", "chunk_corpus", "constant_lr",
     "continue_pretrain", "cosine_warmup_lr", "eval_mlm",
-    "generate_corpus", "generate_documents", "linear_warmup_lr",
-    "load_extension", "load_run_checkpoint", "load_split", "mask_tokens",
-    "masking_stats", "prepare_shards", "read_shard", "save_run_checkpoint",
-    "train_mlm", "write_shard",
+    "generate_corpus", "generate_documents", "load_extension",
+    "load_run_checkpoint", "load_split", "mask_tokens", "masking_stats",
+    "prepare_shards", "read_shard", "save_run_checkpoint", "train_mlm",
+    "write_shard",
 ]

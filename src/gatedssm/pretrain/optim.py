@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -12,6 +12,7 @@ from ..numerics import Tensor
 BETA1 = 0.9
 BETA2 = 0.98
 EPS = 1e-6
+WEIGHT_DECAY = 0.01
 
 BLOCK = 1 << 15
 """Elements per block of the update walk. A block of each of the four
@@ -23,13 +24,14 @@ core."""
 
 
 class AdamW:
-    """Bias-corrected Adam with decoupled weight decay.
+    """Bias-corrected Adam with decoupled weight decay (Loshchilov &
+    Hutter), without gradient clipping.
 
-    Weight decay applies only to matrices (ndim >= 2); LayerNorm gains
-    and shifts and the SSM parameters are exempt, following the usual
-    no-decay-on-norms convention. Gradient clipping is off unless
-    `clip_norm` is set positive, and enabling it is an explicit choice.
-    The moment decay rates and eps are the constants BETA1, BETA2, EPS.
+    Weight decay of WEIGHT_DECAY, the rate BERT used, applies only to
+    matrices (ndim >= 2); LayerNorm gains and shifts and the SSM
+    parameters are exempt, following the usual no-decay-on-norms
+    convention. The moment decay rates and eps are the constants BETA1,
+    BETA2, EPS. The optimizer takes no options.
 
     The optimizer owns the storage of the tensors it trains. It keeps
     four flat float64 buffers, for the parameters, the gradients and the
@@ -45,8 +47,7 @@ class AdamW:
     AdamW, makes `step` raise rather than update a stale copy.
     """
 
-    def __init__(self, params: Iterable[Tuple[str, Tensor]],
-                 weight_decay: float = 0.0, clip_norm: float = 0.0):
+    def __init__(self, params: Iterable[Tuple[str, Tensor]]):
         self.params: List[Tuple[str, Tensor]] = [
             (name, p) for name, p in params if p.requires_grad
         ]
@@ -56,8 +57,6 @@ class AdamW:
                 or len({id(p) for _, p in self.params}) != len(self.params)):
             raise ValueError("optimizer parameters need distinct names and "
                              "distinct tensors")
-        self.weight_decay = weight_decay
-        self.clip_norm = clip_norm
         self.step_count = 0
         # Decayed tensors first; sorted() is stable, so each group keeps
         # the order of self.params.
@@ -102,17 +101,12 @@ class AdamW:
             name = next(name for name, p in self.params
                         if not np.isfinite(p.grad).all())
             raise RuntimeError(f"non-finite gradient in parameter {name!r}")
-        if self.clip_norm > 0.0:
-            total = math.sqrt(sum(float(np.sum(p.grad ** 2))
-                                  for _, p in self.params))
-            if total > self.clip_norm:
-                self._g *= self.clip_norm / total
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        decay = lr * self.weight_decay
-        decayed = self._decayed_size if self.weight_decay else 0
+        decay = lr * WEIGHT_DECAY
+        decayed = self._decayed_size
         size = self._x.size
         for start in range(0, size, BLOCK):
             span = slice(start, min(start + BLOCK, size))
@@ -171,40 +165,20 @@ class AdamW:
         self.step_count = step_count
 
 
-def _warmup(step: int, total_steps: int, warmup_frac: float,
-            peak_lr: float) -> Tuple[Optional[float], float]:
-    """The part the warm-up schedules share: check the arguments and
-    return (lr, warmup span in steps), with lr None once the step has
-    left the linear warm-up but not yet reached total_steps."""
+def cosine_warmup_lr(step: int, total_steps: int, warmup_frac: float,
+                     peak_lr: float) -> float:
+    """Linear 0 to peak over the warmup span, cosine back down to 0."""
     if not 0.0 < warmup_frac < 1.0:
         raise ValueError("warmup_frac must lie strictly between 0 and 1")
     if total_steps < 1:
         raise ValueError("total_steps must be positive")
     warmup = warmup_frac * total_steps
     if step >= total_steps:
-        return 0.0, warmup
+        return 0.0
     if step < warmup:
-        return peak_lr * step / warmup, warmup
-    return None, warmup
-
-
-def cosine_warmup_lr(step: int, total_steps: int, warmup_frac: float,
-                     peak_lr: float) -> float:
-    """Linear 0 to peak over the warmup span, cosine back down to 0."""
-    lr, warmup = _warmup(step, total_steps, warmup_frac, peak_lr)
-    if lr is not None:
-        return lr
+        return peak_lr * step / warmup
     progress = (step - warmup) / (total_steps - warmup)
     return peak_lr * 0.5 * (1.0 + math.cos(math.pi * progress))
-
-
-def linear_warmup_lr(step: int, total_steps: int, warmup_frac: float,
-                     peak_lr: float) -> float:
-    """Linear 0 to peak over the warmup span, linear back down to 0."""
-    lr, warmup = _warmup(step, total_steps, warmup_frac, peak_lr)
-    if lr is not None:
-        return lr
-    return peak_lr * (total_steps - step) / (total_steps - warmup)
 
 
 def constant_lr(step: int, total_steps: int, warmup_frac: float,
@@ -215,6 +189,5 @@ def constant_lr(step: int, total_steps: int, warmup_frac: float,
 
 SCHEDULES = {
     "cosine": cosine_warmup_lr,
-    "linear": linear_warmup_lr,
     "constant": constant_lr,
 }

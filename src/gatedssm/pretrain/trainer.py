@@ -20,11 +20,17 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..checkpoint import load_checkpoint, load_into, save_checkpoint
-from ..model import ModelConfig, ModelParams, forward_mlm, init_model
+from ..model import (
+    ModelConfig,
+    ModelParams,
+    check_integer_fields,
+    forward_mlm,
+    init_model,
+)
 from ..numerics import Rng, backward, derive_seed, no_grad
 from ..numerics import tensor as T
 from .masking import IGNORE_LABEL, mask_tokens
-from .optim import SCHEDULES, AdamW
+from .optim import SCHEDULES, WEIGHT_DECAY, AdamW
 from .shards import read_shard, write_shard
 from .vocab import MASK, N_SPECIAL, PAD, Vocab, build_vocab
 
@@ -34,21 +40,24 @@ FINAL_CHECKPOINT = "checkpoint"
 
 @dataclass
 class TrainConfig:
+    """One training run; the optimizer recipe is fixed (see AdamW).
+    `schedule` is "cosine" for pretraining and "constant" for length
+    extension."""
+
     steps: int
     batch_size: int = 16
     peak_lr: float = 1e-3
     schedule: str = "cosine"
     warmup_frac: float = 0.01
-    weight_decay: float = 0.01
-    clip_norm: float = 0.0
     seed: int = 0
     checkpoint_every: int = 0   # 0 keeps only the final checkpoint
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        check_integer_fields(self, {"steps": 1, "batch_size": 1,
+                                    "seed": None, "checkpoint_every": 0})
+        if not self.peak_lr > 0.0:
+            raise ValueError(f"peak_lr must be positive, got "
+                             f"{self.peak_lr!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(
                 f"schedule must be one of {sorted(SCHEDULES)}"
@@ -295,6 +304,8 @@ _RETIRED_KEYS = {
     "intermediate": lambda cfg: cfg.intermediate,
     "use_position_embeddings": lambda cfg: cfg.use_position_embeddings,
 }
+# Keys that TrainConfig no longer has, each with the one value it takes.
+_RETIRED_TRAIN_KEYS = {"weight_decay": WEIGHT_DECAY, "clip_norm": 0.0}
 
 
 def _model_config_from_meta(model_config: dict) -> ModelConfig:
@@ -323,14 +334,19 @@ def load_run_checkpoint(directory: str):
     entries, meta = load_checkpoint(directory)
     _drop_stored_b(entries)
     cfg = _model_config_from_meta(meta["model_config"])
+    # Drop the keys TrainConfig no longer has. Any other value than the
+    # one every run now takes would resume another recipe.
+    tc = meta.get("train_config", {})
+    for key, want in _RETIRED_TRAIN_KEYS.items():
+        value = tc.pop(key, want)
+        if value != want:
+            raise ValueError(f"checkpoint train_config key {key!r} is "
+                             f"{value!r}; training now takes {want!r}")
     params = init_model(cfg, _ZeroDraws())
     model_entries = {k: v for k, v in entries.items()
                      if not k.startswith(("adam_m.", "adam_v."))}
     load_into(params.named_parameters(), model_entries)
-    tc = meta.get("train_config", {})
-    optimizer = AdamW(params.trainable_parameters(),
-                      weight_decay=tc.get("weight_decay", 0.0),
-                      clip_norm=tc.get("clip_norm", 0.0))
+    optimizer = AdamW(params.trainable_parameters())
     adam_entries = {k: v for k, v in entries.items()
                     if k.startswith(("adam_m.", "adam_v."))}
     if adam_entries:
@@ -390,9 +406,7 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
         params = init_model(model_cfg,
                             Rng(derive_seed(train_cfg.seed, "init")))
     if optimizer is None:
-        optimizer = AdamW(params.trainable_parameters(),
-                          weight_decay=train_cfg.weight_decay,
-                          clip_norm=train_cfg.clip_norm)
+        optimizer = AdamW(params.trainable_parameters())
     schedule = SCHEDULES[train_cfg.schedule]
     count = len(input_ids)
     if count < 1:
@@ -492,12 +506,11 @@ def load_extension(checkpoint_dir: str, new_len: int,
     old_tc = meta.get("train_config", {})
     tc = TrainConfig(
         steps=steps,
-        batch_size=batch_size or old_tc.get("batch_size", 16),
+        batch_size=(old_tc.get("batch_size", 16) if batch_size is None
+                    else batch_size),
         peak_lr=lr,
         schedule="constant",
         warmup_frac=old_tc.get("warmup_frac", 0.01),
-        weight_decay=old_tc.get("weight_decay", 0.0),
-        clip_norm=old_tc.get("clip_norm", 0.0),
         seed=seed if seed is not None else old_tc.get("seed", 0) + 1,
     )
     return params, tc

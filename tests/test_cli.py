@@ -151,6 +151,17 @@ def short_run(tmp_path_factory):
     ["prepare", "{corpus}", "--set", "prepare.vocab_sz=20"],
     ["extend", "{ckpt}", "{data64}", "--set", "train.weight_decay=5.0"],
     ["train", "{data}", *MODEL_FLAGS, "--set", "train.seed=5"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.steps=2.5"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "model.d_model=8.5"],
+    ["flops", "--set", "lengths=[]"],
+    ["flops", "--set", "lengths=128.9"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.checkpoint_every=-1"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.peak_lr=-1"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.weight_decay=0.01"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.clip_norm=1.0"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.schedule=linear"],
+    ["extend", "{ckpt}", "{data64}", "--set", "train.steps=2.5"],
+    ["extend", "{ckpt}", "{data64}", "--set", "train.batch_size=0"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
@@ -159,7 +170,12 @@ def short_run(tmp_path_factory):
         "train-warmup-frac-above-1", "train-use-bias",
         "train-intermediate", "train-use-position-embeddings",
         "train-dt-min", "prepare-misspelled-key",
-        "extend-unread-train-key", "train-seed-key"])
+        "extend-unread-train-key", "train-seed-key",
+        "train-fractional-steps", "train-fractional-d-model",
+        "flops-empty-lengths", "flops-fractional-length",
+        "train-negative-checkpoint-every", "train-negative-peak-lr",
+        "train-weight-decay", "train-clip-norm", "train-linear-schedule",
+        "extend-fractional-steps", "extend-zero-batch-size"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
                                              argv, capsys):
     (tmp_path / "empty.txt").write_text("\n \n")
@@ -209,6 +225,20 @@ def test_train_eval_extend_dump_pipeline(tmp_path, corpus, capsys):
     assert len(lines) == 1 + 1 * 2 * 21
     assert json.load(open(os.path.join(dump_dir, "kernels.json")))[
         "length"] == 64
+
+
+def test_config_snapshot_replays_the_run(tmp_path, short_run):
+    # A run is reproducible from its config.json alone.
+    data = short_run[0]
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    assert main(["train", data, "--out", str(run), "--seed", "3",
+                 *MODEL_FLAGS, *TRAIN_FLAGS]) == 0
+    assert main(["train", data, "--config", str(run / "config.json"),
+                 "--out", str(replay)]) == 0
+    for name in ("loss.csv", "eval.json", "checkpoint/params.bin",
+                 "checkpoint/manifest.json"):
+        assert (run / name).read_bytes() == (replay / name).read_bytes(), \
+            name
 
 
 def test_train_missing_data_fails(tmp_path, capsys):

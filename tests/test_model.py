@@ -90,6 +90,18 @@ def test_config_validation():
         ModelConfig(n_state=7)
 
 
+def test_config_integer_fields_refuse_fractions_and_bools():
+    for key in ("n_layers", "d_model", "n_state", "max_len", "vocab_size",
+                "n_heads"):
+        for value in (8.5, 8.0, True):
+            with pytest.raises(ValueError,
+                               match=f"^{key} must be an integer"):
+                ModelConfig(**{key: value})
+        assert getattr(ModelConfig(**{key: np.int64(8)}), key) == 8
+    with pytest.raises(ValueError, match="^d_model must be at least 1"):
+        ModelConfig(d_model=0)
+
+
 # ---------------------------------------------------------------------------
 # flip
 

@@ -381,6 +381,57 @@ def test_resume_from_checkpoint_with_retired_keys_is_bit_exact(tmp_path):
     check_resume_is_bit_exact(tmp_path, store_retired_model_config_keys)
 
 
+def store_train_config_key(ckpt: str, key: str, value) -> None:
+    """Rewrite a run checkpoint's `meta.train_config` with `key` set to
+    `value`."""
+    entries, meta = load_checkpoint(ckpt)
+    meta["train_config"][key] = value
+    save_checkpoint(ckpt, entries.items(), meta=meta)
+
+
+def store_retired_train_config_keys(ckpt: str) -> None:
+    """Rewrite a run checkpoint's `meta.train_config` as it was written
+    while TrainConfig still had `weight_decay` and `clip_norm`, at the
+    values every run used."""
+    store_train_config_key(ckpt, "weight_decay", 0.01)
+    store_train_config_key(ckpt, "clip_norm", 0.0)
+    store_train_config_key(ckpt, "schedule", "cosine")
+
+
+def test_resume_from_checkpoint_with_retired_train_keys_is_bit_exact(
+        tmp_path):
+    check_resume_is_bit_exact(tmp_path, store_retired_train_config_keys)
+
+
+@pytest.mark.parametrize("key,value", [("clip_norm", 1.0),
+                                       ("weight_decay", 0.05)])
+def test_load_run_checkpoint_refuses_another_optimizer_recipe(tmp_path, key,
+                                                              value):
+    ckpt = checkpointed_toy_run(tmp_path)
+    store_retired_train_config_keys(ckpt)
+    store_train_config_key(ckpt, key, value)
+    with pytest.raises(ValueError, match=(
+            rf"^checkpoint train_config key '{key}' is {value}; "
+            rf"training now takes")) as err:
+        load_run_checkpoint(ckpt)
+    assert "\n" not in str(err.value)
+
+
+def test_continue_pretrain_of_checkpoint_with_retired_train_keys(tmp_path):
+    ckpt = checkpointed_toy_run(tmp_path)
+    long_ids, long_labels = toy_data(16, seq_len=16, seed=11)
+    want, _ = continue_pretrain(ckpt, 16, long_ids, long_labels, steps=2,
+                                lr=1e-4, out_dir=str(tmp_path / "a"))
+    store_retired_train_config_keys(ckpt)
+    got, _ = continue_pretrain(ckpt, 16, long_ids, long_labels, steps=2,
+                               lr=1e-4, out_dir=str(tmp_path / "b"))
+    assert got == want
+    for name in ("params.bin", "manifest.json"):
+        a = (tmp_path / "a" / FINAL_CHECKPOINT / name).read_bytes()
+        b = (tmp_path / "b" / FINAL_CHECKPOINT / name).read_bytes()
+        assert a == b, name
+
+
 def test_load_run_checkpoint_ignores_stored_dt_range(tmp_path):
     ckpt = checkpointed_toy_run(tmp_path)
     want, _, _ = load_run_checkpoint(ckpt)
@@ -485,10 +536,9 @@ def test_load_run_checkpoint_restores_saved_state_exactly(tmp_path, arch,
     ids, labels = toy_data(16, seed=12)
     cfg = toy_cfg(arch=arch, routing=routing)
     params = init_model(cfg, Rng(21))
-    optimizer = AdamW(params.trainable_parameters(), weight_decay=0.01)
+    optimizer = AdamW(params.trainable_parameters())
     out = str(tmp_path / "run")
-    train_mlm(cfg, TrainConfig(steps=2, batch_size=4, weight_decay=0.01,
-                               seed=5),
+    train_mlm(cfg, TrainConfig(steps=2, batch_size=4, seed=5),
               ids, labels, out, params=params, optimizer=optimizer)
     loaded, loaded_opt, _ = load_run_checkpoint(
         os.path.join(out, FINAL_CHECKPOINT))
@@ -654,6 +704,23 @@ def test_train_config_validation():
     for frac in (0.0, 1.0, 1.5):
         with pytest.raises(ValueError, match="warmup_frac"):
             TrainConfig(steps=1, warmup_frac=frac)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        TrainConfig(steps=1, checkpoint_every=-1)
+    for lr in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="peak_lr"):
+            TrainConfig(steps=1, peak_lr=lr)
+    for key in ("steps", "batch_size", "seed", "checkpoint_every"):
+        for value in (2.5, True, 2.0):
+            with pytest.raises(ValueError, match=f"^{key} must be an "
+                                                 f"integer"):
+                TrainConfig(**{"steps": 3, key: value})
+        assert getattr(TrainConfig(**{"steps": 3, key: np.int64(3)}),
+                       key) == 3
+    for key in ("weight_decay", "clip_norm"):
+        with pytest.raises(TypeError, match=key):
+            TrainConfig(steps=1, **{key: 0.0})
+    with pytest.raises(ValueError, match="schedule"):
+        TrainConfig(steps=1, schedule="linear")
 
 
 # ---------------------------------------------------------------------------
