@@ -11,8 +11,10 @@ One binary, six subcommands covering the full workflow:
 
 Shared flags: --config JSON file, --seed, --out directory, and
 repeatable --set section.key=value overrides (values parse as JSON when
-possible). Every run writes the fully resolved configuration to
-<out>/config.json so artifacts are reproducible from the snapshot
+possible). `SETTINGS` names the settings each command reads. Any other
+key is an error, unless a --config file holds it for another command;
+then it is left out. Every run writes the settings the command read to
+<out>/config.json, so artifacts are reproducible from the snapshot
 alone. The snapshot is written once the command has checked its
 inputs, so a command that fails on bad arguments leaves no output
 directory behind. Errors exit nonzero with a one-line message on
@@ -26,9 +28,9 @@ import glob
 import json
 import os
 import sys
+from dataclasses import fields
+from inspect import signature
 from typing import List, Optional
-
-import numpy as np
 
 from .analysis import (
     dump_kernels,
@@ -50,58 +52,87 @@ from .pretrain import (
     train_mlm,
 )
 
-DEFAULT_LENGTHS = (128, 512, 1024, 4096)
-# The CLI's own sizes; every other `prepare` key takes prepare_shards'
-# default.
-DEFAULT_PREPARE = {"vocab_size": 512, "seq_len": 32}
-# The `train` keys `extend` reads; the rest come from the checkpoint.
-EXTEND_TRAIN_KEYS = ("steps", "peak_lr", "batch_size")
+_PREPARE_KEYS = [f"prepare.{name}" for name, p
+                 in signature(prepare_shards).parameters.items()
+                 if p.kind is p.KEYWORD_ONLY and name != "seed"]
+_MODEL_KEYS = [f"model.{f.name}" for f in fields(ModelConfig)]
+_TRAIN_KEYS = [f"train.{f.name}" for f in fields(TrainConfig)
+               if f.name != "seed"]
+
+# The settings each command reads, as `name` or `section.name`. Each
+# maps to the CLI's own default, or to None where the command leaves it
+# to the callee, the data (train's model.vocab_size and max_len) or the
+# checkpoint (extend's batch_size).
+SETTINGS = {
+    "prepare": {"seed": 0, **dict.fromkeys(_PREPARE_KEYS),
+                "prepare.vocab_size": 512, "prepare.seq_len": 32},
+    "train": {"seed": 0, **dict.fromkeys(_MODEL_KEYS + _TRAIN_KEYS),
+              "train.steps": 100},
+    "extend": {"seed": 0, "train.steps": 100, "train.peak_lr": 1e-4,
+               "train.batch_size": None},
+    "eval": {},
+    "dump-kernels": {},
+    "flops": {"lengths": [128, 512, 1024, 4096]},
+}
 
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
 
-def _merge(dst: dict, src: dict) -> None:
-    for key, value in src.items():
-        if isinstance(value, dict) and isinstance(dst.get(key), dict):
-            _merge(dst[key], value)
-        else:
-            dst[key] = value
+def _flatten(loaded: dict) -> dict:
+    """A config file's keys, leaving out the command, out and inputs
+    that a config.json snapshot records about its run."""
+    flat = {}
+    for key, value in loaded.items():
+        if key not in ("command", "out", "inputs"):
+            flat.update({f"{key}.{name}": v for name, v in value.items()}
+                        if isinstance(value, dict) else {key: value})
+    return flat
 
 
-def _apply_override(cfg: dict, item: str) -> None:
-    key, sep, raw = item.partition("=")
-    if not sep or not key:
-        raise ValueError(f"--set expects key=value, got {item!r}")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        nxt = node.setdefault(part, {})
-        if not isinstance(nxt, dict):
-            raise ValueError(f"--set path {key!r} crosses a non-section key")
-        node = nxt
-    node[parts[-1]] = value
+def _nest(flat: dict) -> dict:
+    nested: dict = {}
+    for key, value in flat.items():
+        section, _, name = key.rpartition(".")
+        (nested.setdefault(section, {}) if section else nested)[name] = value
+    return nested
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    cfg: dict = {"seed": 0, "model": {}, "train": {}, "prepare": {}}
+    """The command's settings: its defaults, then the --config file,
+    then --set, then --seed. A key the command does not read is an
+    error, except in a config file, where keys other commands read are
+    left out."""
+    reads = SETTINGS[args.command]
+    listed = ", ".join("seed (--seed)" if key == "seed" else key
+                       for key in reads) or "no settings"
+    cfg = {key: value for key, value in reads.items() if value is not None}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             loaded = json.load(f)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
-        _merge(cfg, loaded)
-    for item in args.set:
-        _apply_override(cfg, item)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    cfg["seed"] = int(cfg["seed"])
-    return cfg
+        for key, value in _flatten(loaded).items():
+            if key in reads:
+                cfg[key] = value
+            elif not any(key in other for other in SETTINGS.values()):
+                raise ValueError(f"no command reads {key}; "
+                                 f"{args.command} reads {listed}")
+    # --seed N is one more --set seed=N, applied last.
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    for item in args.set + seed:
+        key, sep, raw = item.partition("=")
+        if not sep or not key:
+            raise ValueError(f"--set expects key=value, got {item!r}")
+        if key not in reads:
+            raise ValueError(f"{args.command} does not read {key}; "
+                             f"it reads {listed}")
+        try:
+            cfg[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            cfg[key] = raw
+    return _nest(cfg)
 
 
 def _start_output(args: argparse.Namespace, cfg: dict) -> None:
@@ -143,31 +174,13 @@ def _load_prepared(data_dir: str, *, need_train: bool,
     return vocab, train, heldout
 
 
-def _model_config(cfg: dict, vocab_len: int, seq_len: int) -> ModelConfig:
-    fields = dict(cfg["model"])
-    fields.setdefault("vocab_size", vocab_len)
-    fields.setdefault("max_len", seq_len)
-    return ModelConfig(**fields)
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    fields = dict(cfg["train"])
-    if "seed" in fields:
-        raise ValueError("train.seed is not read; set the seed with --seed "
-                         "or the top-level \"seed\" key")
-    fields["seed"] = cfg["seed"]
-    fields.setdefault("steps", 100)
-    return TrainConfig(**fields)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_prepare(args, cfg) -> None:
-    opts = dict(DEFAULT_PREPARE)
-    opts.update(cfg["prepare"])
-    info = prepare_shards(args.corpus, args.out, seed=cfg["seed"], **opts)
+    info = prepare_shards(args.corpus, args.out, seed=cfg["seed"],
+                          **cfg["prepare"])
     _start_output(args, cfg)
     stats = dict(info["stats"])
     stats["vocab_size"] = info["vocab_size"]
@@ -187,8 +200,10 @@ def cmd_train(args, cfg) -> None:
     vocab, train, heldout = _load_prepared(args.data, need_train=True,
                                            need_heldout=False)
     ids, labels = train
-    model_cfg = _model_config(cfg, len(vocab), ids.shape[1])
-    train_cfg = _train_config(cfg)
+    model_cfg = ModelConfig(**{"vocab_size": len(vocab),
+                               "max_len": ids.shape[1],
+                               **cfg.get("model", {})})
+    train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
     _start_output(args, cfg)
     history = train_mlm(model_cfg, train_cfg, ids, labels, args.out)
     print(f"trained {len(history)} steps; first loss {history[0][2]:.4f}, "
@@ -205,20 +220,12 @@ def cmd_train(args, cfg) -> None:
 
 def cmd_extend(args, cfg) -> None:
     opts = cfg["train"]
-    for key in opts:
-        if key not in EXTEND_TRAIN_KEYS:
-            raise ValueError(f"extend does not read train.{key}; it reads "
-                             f"only {', '.join(EXTEND_TRAIN_KEYS)}")
     _, train, _ = _load_prepared(args.data, need_train=True,
                                  need_heldout=False)
     ids, labels = train
     params, train_cfg = load_extension(
-        args.checkpoint, ids.shape[1], ids,
-        steps=opts.get("steps", 100),
-        lr=float(opts.get("peak_lr", 1e-4)),
-        seed=cfg["seed"],
-        batch_size=opts.get("batch_size"),
-    )
+        args.checkpoint, ids.shape[1], ids, opts["steps"], opts["peak_lr"],
+        seed=cfg["seed"], batch_size=opts.get("batch_size"))
     _start_output(args, cfg)
     history = train_mlm(params.config, train_cfg, ids, labels, args.out,
                         params=params)
@@ -257,22 +264,13 @@ def cmd_dump_kernels(args, cfg) -> None:
     print(f"header sidecar: {sidecar}")
 
 
-def _lengths(cfg: dict) -> List[int]:
-    raw = cfg.get("lengths", list(DEFAULT_LENGTHS))
-    if isinstance(raw, str):
-        raw = [int(part) if part.strip().isdecimal() else part
-               for part in raw.split(",") if part]
-    elif not isinstance(raw, list):
-        raw = [raw]
-    if not raw or not all(type(v) is int and v >= 1 for v in raw):
-        raise ValueError(f"lengths must be one or more positive integers, "
-                         f"got {cfg['lengths']!r}")
-    return raw
-
-
 def cmd_flops(args, cfg) -> None:
     gated, stacked = full_table_configs()
-    lengths = _lengths(cfg)
+    raw = cfg["lengths"]
+    lengths = raw if isinstance(raw, list) else [raw]
+    if not lengths or not all(type(v) is int and v >= 1 for v in lengths):
+        raise ValueError(f"lengths must be one or more positive integers, "
+                         f"got {raw!r}")
     reports = []
     rows = []
     for length in lengths:

@@ -32,16 +32,26 @@ ARCHS = ("gated", "stacked")
 ROUTINGS = ("ssm", "attention")
 
 
-def check_integer_fields(config, minimums: dict) -> None:
-    """Each field named in `minimums` must hold a Python or numpy
+def check_integer_fields(values: dict, minimums: dict) -> None:
+    """Each key named in `minimums` must hold a Python or numpy
     integer, not a bool, and be no smaller than its minimum, if any."""
     for name, low in minimums.items():
-        value = getattr(config, name)
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value,
                                                      (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if low is not None and value < low:
             raise ValueError(f"{name} must be at least {low}, got {value}")
+
+
+def check_real_fields(values: dict, names) -> None:
+    """Each key in `names` must hold a Python or numpy integer or
+    float, not a bool."""
+    for name in names:
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass
@@ -74,9 +84,10 @@ class ModelConfig:
             )
         if self.n_layers is None:
             self.n_layers = 23 if self.arch == "gated" else 24
-        check_integer_fields(self, {
+        check_integer_fields(vars(self), {
             "n_layers": 1, "d_model": 1, "max_len": 1, "vocab_size": 1,
             "n_state": None, "n_heads": None})
+        check_real_fields(vars(self), ["dropout"])
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.routing == "attention":

@@ -24,6 +24,7 @@ from ..model import (
     ModelConfig,
     ModelParams,
     check_integer_fields,
+    check_real_fields,
     forward_mlm,
     init_model,
 )
@@ -53,12 +54,14 @@ class TrainConfig:
     checkpoint_every: int = 0   # 0 keeps only the final checkpoint
 
     def __post_init__(self):
-        check_integer_fields(self, {"steps": 1, "batch_size": 1,
-                                    "seed": None, "checkpoint_every": 0})
+        check_integer_fields(vars(self), {"steps": 1, "batch_size": 1,
+                                          "seed": None,
+                                          "checkpoint_every": 0})
+        check_real_fields(vars(self), ["peak_lr", "warmup_frac"])
         if not self.peak_lr > 0.0:
             raise ValueError(f"peak_lr must be positive, got "
                              f"{self.peak_lr!r}")
-        if self.schedule not in SCHEDULES:
+        if self.schedule not in sorted(SCHEDULES):
             raise ValueError(
                 f"schedule must be one of {sorted(SCHEDULES)}"
             )
@@ -133,11 +136,14 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     pure function of (corpus bytes, seed, sizes). Bad options, an empty
     corpus or one without tokens raise before `out_dir` is created.
     """
+    options = dict(vocab_size=vocab_size, seq_len=seq_len, seed=seed,
+                   mask_rate=mask_rate, holdout_fraction=holdout_fraction)
+    check_integer_fields(options, {"vocab_size": None, "seq_len": 1,
+                                   "seed": None})
+    check_real_fields(options, ["mask_rate", "holdout_fraction"])
     if not 0.0 <= holdout_fraction <= 0.5:
         raise ValueError(
             f"holdout_fraction must lie in [0, 0.5], got {holdout_fraction}")
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     if not 0.0 < mask_rate < 1.0:
         raise ValueError(
             f"mask_rate must lie strictly between 0 and 1, got {mask_rate}")

@@ -162,6 +162,21 @@ def short_run(tmp_path_factory):
     ["train", "{data}", *MODEL_FLAGS, "--set", "train.schedule=linear"],
     ["extend", "{ckpt}", "{data64}", "--set", "train.steps=2.5"],
     ["extend", "{ckpt}", "{data64}", "--set", "train.batch_size=0"],
+    ["eval", "{ckpt}", "{data}", "--set", "model.d_model=999"],
+    ["dump-kernels", "{ckpt}", "--set", "train.steps=7"],
+    ["flops", "--set", "model.d_model=3"],
+    ["flops", "--set", "nosuch.key=1"],
+    ["prepare", "{corpus}", "--set", "model.arch=nope"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "prepare.seq_len=999"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "lengths=[5]"],
+    ["extend", "{ckpt}", "{data64}", "--set", "model.d_model=3"],
+    ["eval", "{ckpt}", "{data}", "--seed", "3"],
+    ["flops", "--set", "seed=2.5"],
+    ["flops", "--set", "seed=true"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "train.peak_lr=true"],
+    ["extend", "{ckpt}", "{data64}", "--set", "train.peak_lr=true"],
+    ["train", "{data}", *MODEL_FLAGS, "--set", "model.dropout=false"],
+    ["prepare", "{corpus}", "--set", "prepare.holdout_fraction=false"],
 ], ids=["prepare-zero-shards", "prepare-no-corpus", "train-no-data",
         "eval-no-checkpoint", "flops-bad-set", "prepare-zero-seq-len",
         "prepare-negative-seq-len", "prepare-mask-rate-above-1",
@@ -175,7 +190,13 @@ def short_run(tmp_path_factory):
         "flops-empty-lengths", "flops-fractional-length",
         "train-negative-checkpoint-every", "train-negative-peak-lr",
         "train-weight-decay", "train-clip-norm", "train-linear-schedule",
-        "extend-fractional-steps", "extend-zero-batch-size"])
+        "extend-fractional-steps", "extend-zero-batch-size",
+        "eval-model-key", "dump-kernels-train-key", "flops-model-key",
+        "flops-unknown-section", "prepare-model-key", "train-prepare-key",
+        "train-lengths-key", "extend-model-key", "eval-seed-flag",
+        "flops-fractional-seed", "flops-bool-seed", "train-bool-peak-lr",
+        "extend-bool-peak-lr", "train-bool-dropout",
+        "prepare-bool-holdout"])
 def test_failed_command_leaves_no_output_dir(tmp_path, corpus, short_run,
                                              argv, capsys):
     (tmp_path / "empty.txt").write_text("\n \n")
@@ -239,6 +260,94 @@ def test_config_snapshot_replays_the_run(tmp_path, short_run):
                  "checkpoint/manifest.json"):
         assert (run / name).read_bytes() == (replay / name).read_bytes(), \
             name
+
+
+def test_prepare_config_snapshot_replays_the_run(tmp_path, corpus):
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    assert main(["prepare", corpus, "--out", str(run), "--seed", "8",
+                 "--set", "prepare.vocab_size=48",
+                 "--set", "prepare.holdout_fraction=0.2"]) == 0
+    assert main(["prepare", corpus, "--config", str(run / "config.json"),
+                 "--out", str(replay)]) == 0
+    for name in ("vocab.txt", "train-0000.bin", "heldout.bin"):
+        assert (run / name).read_bytes() == (replay / name).read_bytes(), \
+            name
+
+
+def test_extend_config_snapshot_replays_the_run(tmp_path, short_run):
+    _, ckpt, data64 = short_run
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    assert main(["extend", ckpt, data64, "--out", str(run), "--seed", "6",
+                 "--set", "train.steps=2", "--set", "train.batch_size=2",
+                 "--set", "train.peak_lr=3e-4"]) == 0
+    assert main(["extend", ckpt, data64, "--config",
+                 str(run / "config.json"), "--out", str(replay)]) == 0
+    for name in ("loss.csv", "checkpoint/params.bin"):
+        assert (run / name).read_bytes() == (replay / name).read_bytes(), \
+            name
+
+
+def shared_config(train_section):
+    return {"seed": 5,
+            "prepare": {"vocab_size": 64, "seq_len": 64},
+            "model": {"d_model": 16, "n_state": 4, "n_layers": 1,
+                      "dropout": 0.0},
+            "train": train_section,
+            "lengths": [256]}
+
+
+def shared_config_commands(corpus, short_run):
+    data, ckpt, data64 = short_run
+    return {"prepare": ["prepare", corpus],
+            "train": ["train", data],
+            "extend": ["extend", ckpt, data64],
+            "eval": ["eval", ckpt, data],
+            "dump-kernels": ["dump-kernels", ckpt],
+            "flops": ["flops"]}
+
+
+def test_one_config_file_serves_every_command(tmp_path, corpus, short_run):
+    # Each command takes the settings it reads from a shared file and
+    # records those alone.
+    cfg_path = tmp_path / "shared.json"
+    cfg_path.write_text(json.dumps(shared_config(
+        {"steps": 2, "batch_size": 4, "peak_lr": 1e-3,
+         "warmup_frac": 0.05})))
+    model = shared_config({})["model"]
+    expected = {
+        "prepare": {"seed": 5,
+                    "prepare": {"vocab_size": 64, "seq_len": 64}},
+        "train": {"seed": 5, "model": model,
+                  "train": {"steps": 2, "batch_size": 4, "peak_lr": 1e-3,
+                            "warmup_frac": 0.05}},
+        "extend": {"seed": 5,
+                   "train": {"steps": 2, "batch_size": 4, "peak_lr": 1e-3}},
+        "eval": {},
+        "dump-kernels": {},
+        "flops": {"lengths": [256]},
+    }
+    for command, argv in shared_config_commands(corpus, short_run).items():
+        out = tmp_path / command
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(out)]) == 0, command
+        snapshot = json.loads((out / "config.json").read_text())
+        for key in ("command", "out", "inputs"):
+            del snapshot[key]
+        assert snapshot == expected[command], command
+
+
+def test_misspelled_key_in_shared_config_is_refused(tmp_path, corpus,
+                                                     short_run, capsys):
+    cfg_path = tmp_path / "shared.json"
+    cfg_path.write_text(json.dumps(shared_config(
+        {"stpes": 2, "batch_size": 4})))
+    for command, argv in shared_config_commands(corpus, short_run).items():
+        out = tmp_path / command
+        assert main(argv + ["--config", str(cfg_path),
+                            "--out", str(out)]) == 1, command
+        assert not out.exists(), command
+        err = capsys.readouterr().err
+        assert "train.stpes" in err and err.count("\n") == 1, err
 
 
 def test_train_missing_data_fails(tmp_path, capsys):

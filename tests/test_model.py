@@ -88,6 +88,9 @@ def test_config_validation():
         ModelConfig(dropout=1.0)
     with pytest.raises(ValueError, match="even"):
         ModelConfig(n_state=7)
+    for value in (False, "0.1"):
+        with pytest.raises(ValueError, match="^dropout must be a number"):
+            ModelConfig(dropout=value)
 
 
 def test_config_integer_fields_refuse_fractions_and_bools():

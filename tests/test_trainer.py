@@ -188,7 +188,9 @@ def test_prepare_shards_realizes_holdout_fraction(tmp_path, fraction):
     ("holdout_fraction", 0.7),
     ("holdout_fraction", 1.0), ("holdout_fraction", -0.1),
     ("seq_len", 0), ("seq_len", -4), ("mask_rate", 1.5), ("mask_rate", 0.0),
-    ("vocab_size", 3),
+    ("vocab_size", 3), ("seq_len", 8.5), ("seq_len", True),
+    ("vocab_size", 40.5), ("seed", 2.5), ("mask_rate", "0.15"),
+    ("holdout_fraction", False),
 ])
 def test_prepare_shards_rejects_bad_split(tmp_path, key, value):
     corpus = str(tmp_path / "c.txt")
@@ -721,6 +723,24 @@ def test_train_config_validation():
             TrainConfig(steps=1, **{key: 0.0})
     with pytest.raises(ValueError, match="schedule"):
         TrainConfig(steps=1, schedule="linear")
+    for key, value in (("peak_lr", True), ("peak_lr", "1e-3"),
+                       ("warmup_frac", "0.1")):
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            TrainConfig(steps=1, **{key: value})
+    with pytest.raises(ValueError, match="schedule"):
+        TrainConfig(steps=1, schedule=["cosine"])
+
+
+def test_real_fields_accept_python_and_numpy_numbers(tmp_path):
+    for value in (0, 0.1, np.float64(0.1), np.float32(0.1), np.int64(0)):
+        assert ModelConfig(dropout=value).dropout == value
+        assert TrainConfig(steps=1, peak_lr=value + 1).peak_lr == value + 1
+    corpus = str(tmp_path / "c.txt")
+    generate_corpus(corpus, n_docs=5, doc_len=100, n_words=32, seed=1)
+    info = prepare_shards(corpus, str(tmp_path / "out"),
+                          vocab_size=np.int64(40), seq_len=8,
+                          mask_rate=np.float64(0.15), holdout_fraction=0)
+    assert info["heldout_paths"] == []
 
 
 # ---------------------------------------------------------------------------
