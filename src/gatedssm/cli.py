@@ -212,8 +212,7 @@ def cmd_train(args, cfg) -> None:
     print(f"final checkpoint: {ckpt}")
     if heldout is not None:
         params, _, _ = load_run_checkpoint(ckpt)
-        loss, ppl = eval_mlm(model_cfg, params, *heldout,
-                             batch_size=train_cfg.batch_size)
+        loss, ppl = eval_mlm(model_cfg, params, *heldout)
         _write_eval(args.out, loss, ppl, len(heldout[0]))
         print(f"heldout loss {loss:.4f}, perplexity {ppl:.2f}")
 

@@ -336,6 +336,18 @@ through the forward's 27 passes. On (2, 2048, 192) inputs, the powers of two fro
 one another's spread on a 2-vCPU Xeon with 2 MiB of L2 per core; 2^12
 paid more in call overhead and 2^17 left L2."""
 
+GELU_SCIPY_BELOW = 3 << 12
+"""Inputs of fewer elements take Phi from one whole-array call of
+scipy's erf, not the blocked rational: its fixed cost of about 27
+numpy calls per block outweighs its speed on small arrays. On the
+2-vCPU Xeon, with std-0.7, 1 and 2 normal inputs and the tape kept,
+one scipy call took 0.43x the blocked path's time at 2560 elements
+(toy's head on its labeled rows), 0.75x at 6144, 0.8x at 8192 and
+0.87-0.97x at 12288; from 14336 to 16384 the two were within 5% of
+each other, and at 2^14 and above, toy's and extend's whole-sequence
+shapes, the blocked path was up to 15% faster. Both give scipy's
+bits."""
+
 # cephes' erf on |y| <= 1 is y * T(y^2) / U(y^2), with T evaluated by
 # polevl and U by p1evl (leading coefficient 1). scipy.special.erf runs
 # exactly these operations, so the rational gives its bits.
@@ -381,7 +393,9 @@ def gelu(a) -> Tensor:
     closed-form derivatives, so finite-difference checks hold for either.
 
     Phi = 0.5 * (1 + erf(x / sqrt 2)) is formed in blocks of
-    ``GELU_BLOCK`` elements. For |x| <= sqrt 2, scipy's erf is cephes'
+    ``GELU_BLOCK`` elements. An input of fewer than
+    ``GELU_SCIPY_BELOW`` elements is one block, and its erf is one call
+    of scipy's. Otherwise, for |x| <= sqrt 2, scipy's erf is cephes'
     rational y * T(y^2) / U(y^2) with y = x / sqrt 2. ``_erf_into``
     runs it as whole-array numpy passes in cephes' operation order, so
     it gives scipy's bits at numpy speed; only the entries beyond, and
@@ -400,6 +414,7 @@ def gelu(a) -> Tensor:
     keep = _grad_enabled() and a.requires_grad
     cdf = np.empty(a.data.shape if keep else min(n, GELU_BLOCK))
     phi = cdf.reshape(-1)
+    whole = n < GELU_SCIPY_BELOW
     y, z, t, u = np.empty((4, min(n, GELU_BLOCK)))
     # The rational overflows or divides inf by inf only on entries that
     # scipy's erf then overwrites, so those warnings say nothing.
@@ -409,7 +424,10 @@ def gelu(a) -> Tensor:
             xb, yb = x[i:j], y[:j - i]
             cb = phi[i:j] if keep else phi[:j - i]
             np.divide(xb, _SQRT2, out=yb)
-            _erf_into(yb, cb, z[:j - i], t[:j - i], u[:j - i])
+            if whole:
+                _erf(yb, out=cb)
+            else:
+                _erf_into(yb, cb, z[:j - i], t[:j - i], u[:j - i])
             cb += 1.0
             cb *= 0.5
             np.multiply(xb, cb, out=out[i:j])

@@ -248,6 +248,22 @@ def test_train_eval_extend_dump_pipeline(tmp_path, corpus, capsys):
         "length"] == 64
 
 
+def test_train_and_eval_report_the_same_heldout_bits(tmp_path, short_run):
+    # The batch size sets the order of the loss sums, so train evaluates
+    # its final checkpoint in eval's batches, not in its training ones.
+    # At seed 5 the two orders round the mean differently.
+    data = short_run[0]
+    run, ev = tmp_path / "run", tmp_path / "ev"
+    assert main(["train", data, "--out", str(run), "--seed", "5",
+                 *MODEL_FLAGS, *TRAIN_FLAGS]) == 0
+    assert main(["eval", str(run / "checkpoint"), data,
+                 "--out", str(ev)]) == 0
+    trained = json.load(open(run / "eval.json"))
+    evaluated = json.load(open(ev / "eval.json"))
+    assert trained["sequences"] > 4  # more than one training batch
+    assert trained == evaluated
+
+
 def test_config_snapshot_replays_the_run(tmp_path, short_run):
     # A run is reproducible from its config.json alone.
     data = short_run[0]

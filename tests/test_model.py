@@ -544,11 +544,15 @@ def test_forward_mlm_all_four_variants_run():
             assert np.all(np.isfinite(logits.data))
 
 
-@pytest.mark.parametrize("arch,routing", [
-    ("gated", "ssm"), ("gated", "attention"),
-    ("stacked", "ssm"), ("stacked", "attention")])
+VARIANTS = [("gated", "ssm"), ("gated", "attention"),
+            ("stacked", "ssm"), ("stacked", "attention")]
+
+
+@pytest.mark.parametrize("arch,routing", VARIANTS)
 def test_forward_mlm_rows_match_full_logits(arch, routing):
-    cfg = toy_config(arch=arch, routing=routing, n_layers=1, n_heads=2)
+    # Only the last block and the head run on `rows`; every other value
+    # and every dropout mask is that of the full forward.
+    cfg = toy_config(arch=arch, routing=routing, n_heads=2, dropout=0.3)
     params = init_model(cfg, Rng(64))
     for shape, rows in (((6,), [5, 0, 3, 3]),
                         ((3, 6), [17, 0, 7, 7, 12])):
@@ -558,23 +562,86 @@ def test_forward_mlm_rows_match_full_logits(arch, routing):
             full = forward_mlm(tokens, cfg, params).data
             got = forward_mlm(tokens, cfg, params, rows=rows).data
         assert got.shape == (len(rows), cfg.vocab_size)
-        np.testing.assert_allclose(
-            got, full.reshape(-1, cfg.vocab_size)[rows], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            got, full.reshape(-1, cfg.vocab_size)[rows])
+        rng_full, rng_rows = Rng(66), Rng(66)
+        trained = forward_mlm(tokens, cfg, params, train=True,
+                              rng=rng_full).data
+        got = forward_mlm(tokens, cfg, params, train=True, rng=rng_rows,
+                          rows=rows).data
+        assert not np.array_equal(trained, full)  # dropout fired
+        np.testing.assert_array_equal(
+            got, trained.reshape(-1, cfg.vocab_size)[rows])
+        np.testing.assert_array_equal(rng_rows.uniform((4,)),
+                                      rng_full.uniform((4,)))
 
 
 def test_forward_mlm_rows_gradients():
-    cfg = toy_config(n_layers=1, d_model=4, n_state=2, vocab_size=11)
-    params = init_model(cfg, Rng(66))
+    # Two layers put the block that runs on `rows` behind a full one.
     tokens = np.array([[1, 4, 7, 2], [9, 3, 3, 6]])
     rows = np.array([0, 2, 5, 7])
     labels = np.array([3, 5, 10, 0])
+    for n_layers in (1, 2):
+        cfg = toy_config(n_layers=n_layers, d_model=4, n_state=2,
+                         vocab_size=11)
+        params = init_model(cfg, Rng(66))
+        if n_layers == 2:
+            for blk in params.blocks:
+                boost_gated_weights(blk)
 
-    def f():
-        logits = forward_mlm(tokens, cfg, params, rows=rows)
-        return T.masked_cross_entropy(logits, labels)
+        def f():
+            logits = forward_mlm(tokens, cfg, params, rows=rows)
+            return T.masked_cross_entropy(logits, labels)
 
-    names = [(n, t) for n, t in params.trainable_parameters()]
-    check_grads(f, names, tol=2e-4)
+        names = [(n, t) for n, t in params.trainable_parameters()]
+        check_grads(f, names, tol=2e-4)
+
+
+def forward_gathering_after_the_blocks(tokens, cfg, params, rows, rng):
+    """Training-mode logits at `rows` with every block run on all
+    positions and the rows gathered just before the head."""
+    emb = params.embeddings
+    h = T.embedding(emb.token_table, tokens)
+    if cfg.use_position_embeddings:
+        h = T.add(h, T.getitem(emb.position_table,
+                               slice(0, tokens.shape[-1])))
+    for blk in params.blocks:
+        if cfg.arch == "gated":
+            h = gated_block(h, blk, dropout_p=cfg.dropout, rng=rng,
+                            train=True, n_heads=cfg.n_heads)
+        else:
+            h = stacked_block(h, blk, cfg.routing, n_heads=cfg.n_heads,
+                              dropout_p=cfg.dropout, rng=rng, train=True)
+    h = T.embedding(T.reshape(h, (-1, cfg.d_model)), rows)
+    head = T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
+                        emb.head_ln_gain, emb.head_ln_bias)
+    return T.matmul(head, T.transpose(emb.token_table))
+
+
+@pytest.mark.parametrize("arch,routing", VARIANTS)
+def test_forward_mlm_rows_gradients_match_gathering_after_the_blocks(
+        arch, routing):
+    cfg = toy_config(arch=arch, routing=routing, n_heads=2, dropout=0.1)
+    params = init_model(cfg, Rng(70))
+    if arch == "gated":
+        for blk in params.blocks:
+            boost_gated_weights(blk)
+    tokens = Rng(71).integers(0, cfg.vocab_size, (3, 6))
+    rows = np.array([17, 0, 7, 7, 12, 2])
+    labels = Rng(72).integers(0, cfg.vocab_size, (len(rows),))
+    named = list(params.trainable_parameters())
+    grads = []
+    for forward in (
+            lambda rng: forward_mlm(tokens, cfg, params, train=True,
+                                    rng=rng, rows=rows),
+            lambda rng: forward_gathering_after_the_blocks(
+                tokens, cfg, params, rows, rng)):
+        for _, t in named:
+            t.zero_grad()
+        backward(T.masked_cross_entropy(forward(Rng(73)), labels))
+        grads.append([t.grad.copy() for _, t in named])
+    for (name, _), got, want in zip(named, *grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
 
 
 def test_forward_mlm_longer_than_max_len_without_positions():

@@ -201,8 +201,9 @@ def gelu_edge_input(size):
 
 @pytest.mark.parametrize("size", [
     0, 1, T.GELU_BLOCK - 1, T.GELU_BLOCK, T.GELU_BLOCK + 1,
-    3 * T.GELU_BLOCK + 7,
-], ids=["empty", "one", "block-1", "block", "block+1", "3-blocks+7"])
+    3 * T.GELU_BLOCK + 7, T.GELU_SCIPY_BELOW - 1, T.GELU_SCIPY_BELOW,
+], ids=["empty", "one", "block-1", "block", "block+1", "3-blocks+7",
+        "scipy-below-1", "scipy-below"])
 def test_gelu_across_blocks_and_special_values_bit_for_bit(size):
     a = gelu_edge_input(size)
     g = Rng(45).normal((size,))
