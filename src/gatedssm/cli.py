@@ -62,13 +62,13 @@ _TRAIN_KEYS = [f"train.{f.name}" for f in fields(TrainConfig)
 # The settings each command reads, as `name` or `section.name`. Each
 # maps to the CLI's own default, or to None where the command leaves it
 # to the callee, the data (train's model.vocab_size and max_len) or the
-# checkpoint (extend's batch_size).
+# checkpoint (extend's batch_size, and its seed, the checkpoint's + 1).
 SETTINGS = {
     "prepare": {"seed": 0, **dict.fromkeys(_PREPARE_KEYS),
                 "prepare.vocab_size": 512, "prepare.seq_len": 32},
     "train": {"seed": 0, **dict.fromkeys(_MODEL_KEYS + _TRAIN_KEYS),
               "train.steps": 100},
-    "extend": {"seed": 0, "train.steps": 100, "train.peak_lr": 1e-4,
+    "extend": {"seed": None, "train.steps": 100, "train.peak_lr": 1e-4,
                "train.batch_size": None},
     "eval": {},
     "dump-kernels": {},
@@ -224,7 +224,8 @@ def cmd_extend(args, cfg) -> None:
     ids, labels = train
     params, train_cfg = load_extension(
         args.checkpoint, ids.shape[1], ids, opts["steps"], opts["peak_lr"],
-        seed=cfg["seed"], batch_size=opts.get("batch_size"))
+        seed=cfg.get("seed"), batch_size=opts.get("batch_size"))
+    cfg["seed"] = train_cfg.seed
     _start_output(args, cfg)
     history = train_mlm(params.config, train_cfg, ids, labels, args.out,
                         params=params)

@@ -453,7 +453,7 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
     fixed order so a given (parameters, rng state) pair is replayable.
     The last block draws its masks at the full shape and gathers them,
     so `rows` leaves the draws unchanged. README gives the measured
-    effect: extend-gated-l2048's peak RSS falls by about a fifth.
+    effect.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2):

@@ -14,6 +14,12 @@ Rules of the house:
   - every backward rule is written out explicitly (no numerical
     differentiation, no higher-order support),
   - recording can be suspended with ``no_grad()`` for evaluation paths,
+  - a graph is used up by the ``backward`` that walks it: each result
+    swaps its node for the shared ``_RELEASED`` marker as it is
+    visited, so a rule's saved arrays and inputs are freed once it has
+    run, and a training step holds one tape at a time. Results keep
+    their ``data``; a later backward whose graph reaches a released
+    result raises,
   - graphs are per-result and thread-local, so independent models can
     run on independent threads.
 """
@@ -59,6 +65,18 @@ class TapeNode:
         self.op = op
         self.inputs = inputs
         self.backward_rule = backward_rule
+
+
+_SPENT = ("backward already ran through this graph, which it used up; "
+          "run the forward again")
+
+
+def _spent_rule(g):
+    raise RuntimeError(_SPENT)
+
+
+# The node of every result backward has run through.
+_RELEASED = TapeNode("released", (), _spent_rule)
 
 
 class Tensor:
@@ -177,6 +195,14 @@ def backward(loss: Tensor) -> None:
     The loss must be scalar (size 1). Each recorded node is visited
     exactly once; leaves that do not appear on the tape keep whatever
     is already in their grad buffer (zeros after ``zero_grad``).
+
+    The walk uses the graph up: each result drops its node for
+    ``_RELEASED`` as it is visited, so a rule's saved arrays are freed
+    once it has run and nothing of the graph outlives the call. The
+    results keep their ``data``. A graph that reaches a released
+    result, such as the same loss a second time or a new op on an
+    intermediate of a walked graph, raises a RuntimeError before any
+    rule runs or any grad changes.
     """
     if loss.data.size != 1:
         raise ValueError(
@@ -198,6 +224,8 @@ def backward(loss: Tensor) -> None:
             continue
         if t.node is None or id(t) in visited:
             continue
+        if t.node is _RELEASED:
+            raise RuntimeError(_SPENT)
         visited.add(id(t))
         stack.append((t, True))
         for inp in t.node.inputs:
@@ -205,12 +233,14 @@ def backward(loss: Tensor) -> None:
                 stack.append((inp, False))
 
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for t in reversed(topo):
+    while topo:
+        t = topo.pop()
+        node, t.node = t.node, _RELEASED
         g = flowing.pop(id(t), None)
         if g is None:
             continue
-        grads = t.node.backward_rule(g)
-        for inp, gi in zip(t.node.inputs, grads):
+        grads = node.backward_rule(g)
+        for inp, gi in zip(node.inputs, grads):
             if gi is None or not inp.requires_grad:
                 continue
             if inp.node is None:

@@ -1,7 +1,9 @@
-"""Shared test helpers: finite-difference oracle and error metrics."""
+"""Shared test helpers: finite-difference oracle, error metrics and a
+memory probe."""
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +62,16 @@ def check_grads(f: Callable[[], Tensor], params: Sequence[tuple[str, Tensor]],
         fd = finite_difference_grad(f, p, h=h)
         err = rel_err(p.grad, fd)
         assert err < tol, f"gradient mismatch for {name}: rel err {err:.3e}"
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_nodes(out: Tensor) -> int:

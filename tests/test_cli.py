@@ -9,7 +9,9 @@ import pytest
 from gatedssm.cli import main
 from gatedssm.pretrain import (
     Vocab,
+    continue_pretrain,
     generate_corpus,
+    load_split,
     read_shard,
     write_shard,
 )
@@ -296,6 +298,37 @@ def test_extend_config_snapshot_replays_the_run(tmp_path, short_run):
     assert main(["extend", ckpt, data64, "--out", str(run), "--seed", "6",
                  "--set", "train.steps=2", "--set", "train.batch_size=2",
                  "--set", "train.peak_lr=3e-4"]) == 0
+    assert main(["extend", ckpt, data64, "--config",
+                 str(run / "config.json"), "--out", str(replay)]) == 0
+    for name in ("loss.csv", "checkpoint/params.bin"):
+        assert (run / name).read_bytes() == (replay / name).read_bytes(), \
+            name
+
+
+EXTEND_FLAGS = ["--set", "train.steps=2", "--set", "train.batch_size=2"]
+
+
+def test_unseeded_extend_trains_the_api_default_run(tmp_path, short_run):
+    # Without --seed the CLI leaves the seed to load_extension, the
+    # checkpoint's seed (0 here) + 1, and records the seed it used.
+    _, ckpt, data64 = short_run
+    cli_run, api_run = tmp_path / "cli", tmp_path / "api"
+    assert main(["extend", ckpt, data64, "--out", str(cli_run),
+                 *EXTEND_FLAGS]) == 0
+    ids, labels = load_split([os.path.join(data64, "train-0000.bin")])
+    continue_pretrain(ckpt, 64, ids, labels, 2, 1e-4, str(api_run),
+                      batch_size=2)
+    assert ((cli_run / "loss.csv").read_bytes()
+            == (api_run / "loss.csv").read_bytes())
+    assert json.loads((cli_run / "config.json").read_text())["seed"] == 1
+
+
+def test_unseeded_extend_config_snapshot_replays_the_run(tmp_path,
+                                                         short_run):
+    _, ckpt, data64 = short_run
+    run, replay = tmp_path / "run", tmp_path / "replay"
+    assert main(["extend", ckpt, data64, "--out", str(run),
+                 *EXTEND_FLAGS]) == 0
     assert main(["extend", ckpt, data64, "--config",
                  str(run / "config.json"), "--out", str(replay)]) == 0
     for name in ("loss.csv", "checkpoint/params.bin"):

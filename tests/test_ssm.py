@@ -1,11 +1,10 @@
 """State-space core: discretization, kernels, scan/convolve duality."""
 
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import check_grads, count_nodes
+from conftest import check_grads, count_nodes, traced_peak
 
 import gatedssm.numerics.tensor as T
 from gatedssm.numerics import Rng, Tensor, backward, no_grad
@@ -479,12 +478,7 @@ def test_ssm_apply_memory_stays_below_the_toeplitz_blocks():
     p = init_s4d(16, rng=rng)
     x = Tensor(rng.normal((L, cols)), requires_grad=True)
     w = Tensor(rng.normal((L, cols)))
-    tracemalloc.start()
-    try:
-        backward(T.tsum(T.mul(ssm_apply(p, x), w)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: backward(T.tsum(T.mul(ssm_apply(p, x), w))))
     assert peak < (L // CHUNK) * CHUNK * CHUNK * 8, \
         f"peak {peak / 2**20:.1f} MiB"
 

@@ -1,11 +1,16 @@
 """Autodiff tests: every op against oracles and finite differences."""
 
-import tracemalloc
+import weakref
 from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from conftest import check_grads, finite_difference_grad, rel_err
+from conftest import (
+    check_grads,
+    finite_difference_grad,
+    rel_err,
+    traced_peak,
+)
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
@@ -147,6 +152,53 @@ def test_no_grad_suppresses_recording():
     assert float(x.grad) == 0.0
 
 
+def test_backward_frees_the_graph_it_walks():
+    rng = Rng(34)
+    x, w = leaf(rng, (8, 16)), leaf(rng, (16, 4))
+    h = nm.gelu(nm.matmul(x, w))
+    loss = nm.tsum(nm.mul(h, h))
+    # Tensors take no weak references; an intermediate's data array is
+    # held by the intermediate alone, so it dies with it.
+    probe = weakref.ref(h.data)
+    del h
+    assert probe() is not None
+    value = loss.data.copy()
+    backward(loss)
+    assert probe() is None
+    np.testing.assert_array_equal(loss.data, value)
+
+
+def spent_graph(rng):
+    """Leaves x and w, an intermediate and the loss of one graph that
+    backward has walked, and copies of the leaves' grads."""
+    x, w = leaf(rng, (3, 4)), leaf(rng, (3, 4))
+    y = nm.mul(x, w)
+    loss = nm.tsum(y)
+    backward(loss)
+    return x, w, y, loss, (x.grad.copy(), w.grad.copy())
+
+
+def test_backward_twice_through_one_graph_raises():
+    x, w, _, loss, grads = spent_graph(Rng(35))
+    with pytest.raises(RuntimeError, match="backward already ran") as info:
+        backward(loss)
+    assert "\n" not in str(info.value)
+    np.testing.assert_array_equal(x.grad, grads[0])
+    np.testing.assert_array_equal(w.grad, grads[1])
+
+
+def test_op_on_a_spent_intermediate_is_refused_before_any_grad_moves():
+    # The new graph also reaches x directly, so a check made after the
+    # first rule ran would already have added to x.grad.
+    x, w, y, _, grads = spent_graph(Rng(36))
+    loss = nm.add(nm.tsum(nm.mul(y, x)), nm.tsum(x))
+    with pytest.raises(RuntimeError, match="backward already ran") as info:
+        backward(loss)
+    assert "\n" not in str(info.value)
+    np.testing.assert_array_equal(x.grad, grads[0])
+    np.testing.assert_array_equal(w.grad, grads[1])
+
+
 def test_forward_is_bit_deterministic():
     rng = Rng(33)
     x = Tensor(rng.normal((4, 8)))
@@ -242,13 +294,12 @@ def test_gelu_rational_is_scipy_erf_bit_for_bit():
 def test_gelu_without_tape_keeps_nothing_of_the_input_size():
     x = Tensor(Rng(46).normal((2, 2048, 192)), requires_grad=True)
     output = x.data.nbytes
-    tracemalloc.start()
-    try:
+
+    def run():
         with no_grad():
             nm.gelu(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(run)
     assert peak < output + (1 << 20), (peak, output)
 
 
@@ -832,13 +883,11 @@ def test_masked_cross_entropy_without_tape_stays_below_one_buffer(every_row):
     peaks = []
     # Under no_grad, and logits that need no gradient with the tape on.
     for x, context in ((logits, no_grad), (Tensor(logits.data), nullcontext)):
-        tracemalloc.start()
-        try:
+        def run():
             with context():
                 nm.masked_cross_entropy(x, labels)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+
+        peaks.append(traced_peak(run))
     assert max(peaks) < buffer / 8, (peaks, buffer)
 
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 import gatedssm.numerics.tensor as T
 import gatedssm.pretrain.trainer as trainer
@@ -694,6 +695,18 @@ def test_one_forward_per_batch(tmp_path, monkeypatch):
     params = init_model(cfg, Rng(23))
     eval_mlm(cfg, params, ids, labels, batch_size=4)
     assert len(calls) == 6
+
+
+def test_later_steps_peak_no_higher_than_the_first(tmp_path):
+    # Each step's backward uses up its tape. A step that still held the
+    # graph of the step before would put the 3-step peak about 1.5x
+    # above the 1-step one.
+    cfg = toy_cfg(max_len=256)
+    ids, labels = toy_data(4, seq_len=256)
+    peaks = [traced_peak(lambda: train_mlm(
+        cfg, TrainConfig(steps=steps, batch_size=2, seed=0), ids, labels,
+        str(tmp_path / f"run-{steps}"))) for steps in (1, 3)]
+    assert peaks[1] < 1.15 * peaks[0], peaks
 
 
 def test_train_config_validation():
