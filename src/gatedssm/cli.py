@@ -39,7 +39,7 @@ from .analysis import (
     write_flop_csv,
     write_kernel_csv,
 )
-from .model import ModelConfig
+from .model import ModelConfig, param_count
 from .pretrain import (
     FINAL_CHECKPOINT,
     TrainConfig,
@@ -196,6 +196,35 @@ def cmd_prepare(args, cfg) -> None:
           f"{stats['maskable_positions']} maskable positions")
 
 
+# float64 arrays of each parameter's size that training keeps: the
+# parameter, its gradient and AdamW's two moments.
+_STATE_ARRAYS = 4
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_state_fits(cfg: ModelConfig) -> None:
+    """Refuse a model whose parameter state alone exceeds physical
+    memory, which the OOM killer would otherwise end without a word."""
+    memory = _physical_memory()
+    if memory is None:
+        return
+    count = param_count(cfg)["total"]
+    need = count * _STATE_ARRAYS * 8
+    if need > memory:
+        raise ValueError(
+            f"a model of {count:,} parameters needs {need / 1e9:.2f} GB "
+            f"for its parameters, gradients and AdamW moments alone, more "
+            f"than this machine's {memory / 1e9:.2f} GB of memory; set "
+            f"smaller model.* values")
+
+
 def cmd_train(args, cfg) -> None:
     vocab, train, heldout = _load_prepared(args.data, need_train=True,
                                            need_heldout=False)
@@ -204,6 +233,7 @@ def cmd_train(args, cfg) -> None:
                                "max_len": ids.shape[1],
                                **cfg.get("model", {})})
     train_cfg = TrainConfig(**cfg["train"], seed=cfg["seed"])
+    _check_state_fits(model_cfg)
     _start_output(args, cfg)
     history = train_mlm(model_cfg, train_cfg, ids, labels, args.out)
     print(f"trained {len(history)} steps; first loss {history[0][2]:.4f}, "

@@ -436,7 +436,8 @@ def stacked_block(x, p: StackedBlockParams, routing: str, *,
 
 def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
                 *, train: bool = False, rng: Optional[Rng] = None,
-                rows: Optional[np.ndarray] = None) -> Tensor:
+                rows: Optional[np.ndarray] = None,
+                labels: Optional[np.ndarray] = None) -> Tensor:
     """Token ids (L,) or (batch, L) to prediction logits (..., L, vocab).
 
     With `rows`, integer indices into the flattened (batch * L)
@@ -449,6 +450,12 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
     projection and, in a gated block, 85% of the GEMM multiply-adds and
     75% of the GELU elements of the last block.
 
+    With `labels`, integer ids shaped like `tokens` and -1 where a
+    position is not scored, the result is instead the scalar masked-LM
+    loss: `rows` become the labeled positions (`T.labeled_rows`), and
+    `T.masked_cross_entropy` forms their tied-head logits itself, so no
+    logits tensor is kept. Pass `rows` or `labels`, not both.
+
     Dropout fires only with train=True, drawing masks from `rng` in a
     fixed order so a given (parameters, rng state) pair is replayable.
     The last block draws its masks at the full shape and gathers them,
@@ -458,6 +465,15 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
     tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2):
         raise ValueError("tokens must be a 1-D or 2-D integer array")
+    if labels is not None:
+        if rows is not None:
+            raise ValueError("forward_mlm takes rows or labels, not both")
+        labels = np.asarray(labels)
+        if labels.shape != tokens.shape:
+            raise ValueError(f"labels shape {labels.shape} does not match "
+                             f"tokens {tokens.shape}")
+        labels = labels.reshape(-1)
+        rows = T.labeled_rows(labels)
     length = tokens.shape[-1]
     emb = params.embeddings
     h = T.embedding(emb.token_table, tokens)
@@ -481,6 +497,8 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
                               rows=picked)
     head = T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
                         emb.head_ln_gain, emb.head_ln_bias)
+    if labels is not None:
+        return T.masked_cross_entropy(head, labels[rows], emb.token_table)
     return T.matmul(head, T.transpose(emb.token_table))
 
 

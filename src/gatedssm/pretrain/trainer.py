@@ -12,7 +12,6 @@ from __future__ import annotations
 import ctypes
 import os
 import re
-from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -33,7 +32,8 @@ from ..numerics import tensor as T
 from .masking import IGNORE_LABEL, mask_tokens
 from .optim import SCHEDULES, WEIGHT_DECAY, AdamW
 from .shards import read_shard, write_shard
-from .vocab import MASK, N_SPECIAL, PAD, Vocab, build_vocab
+from .vocab import (MASK, N_SPECIAL, PAD, TokenizedCorpus, Vocab,
+                    build_vocab)
 
 LOSS_CSV_NAME = "loss.csv"
 FINAL_CHECKPOINT = "checkpoint"
@@ -74,17 +74,14 @@ class TrainConfig:
 
 
 def chunk_corpus(lines, vocab: Vocab, seq_len: int) -> np.ndarray:
-    """Encode documents and cut each into fixed-length rows, PAD on the
-    tail of a document's last chunk. Returns (n_chunks, seq_len) ids."""
+    """Encode documents (lines of text, or a `TokenizedCorpus` of them)
+    and cut each into fixed-length rows, PAD on the tail of a
+    document's last chunk. Returns (n_chunks, seq_len) ids."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    flat, lengths = array("q"), []
-    for line in lines:
-        encoded = vocab.encode(line.split())
-        lengths.append(len(encoded))
-        flat.extend(encoded)
-    ids = np.frombuffer(flat, dtype=np.int64)
-    lengths = np.array(lengths, dtype=np.int64)
+    corpus = TokenizedCorpus.of(lines)
+    ids = np.array(vocab.encode(corpus.types), dtype=np.int64)[corpus.ids]
+    lengths = corpus.lengths
     doc_rows = -(-lengths // seq_len)
     if not doc_rows.sum():
         raise ValueError("corpus produced no token chunks")
@@ -151,9 +148,9 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
         raise ValueError(f"vocab_size must exceed the {N_SPECIAL} special "
                          f"tokens, got {vocab_size}")
     with open(corpus_path, "r", encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f]
-    vocab = build_vocab(lines, vocab_size)
-    chunks = chunk_corpus(lines, vocab, seq_len)
+        corpus = TokenizedCorpus(f)
+    vocab = build_vocab(corpus, vocab_size)
+    chunks = chunk_corpus(corpus, vocab, seq_len)
     os.makedirs(out_dir, exist_ok=True)
     vocab.save(os.path.join(out_dir, "vocab.txt"))
 
@@ -363,10 +360,8 @@ def load_run_checkpoint(directory: str):
 def _batch_loss(cfg: ModelConfig, params: ModelParams, ids: np.ndarray,
                 labels: np.ndarray, *, train: bool,
                 rng: Optional[Rng]) -> T.Tensor:
-    labels = labels.reshape(-1)
-    rows = T.labeled_rows(labels)
-    logits = forward_mlm(ids, cfg, params, train=train, rng=rng, rows=rows)
-    return T.masked_cross_entropy(logits, labels[rows])
+    return forward_mlm(ids, cfg, params, train=train, rng=rng,
+                       labels=labels)
 
 
 def _open_loss_csv(path: str, start_step: int):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, repeat
-from typing import Iterable, List
+from array import array
+from collections import defaultdict
+from itertools import repeat
+from typing import Iterable, List, Union
+
+import numpy as np
 
 PAD, UNK, CLS, SEP, MASK = 0, 1, 2, 3, 4
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
@@ -43,9 +46,45 @@ class Vocab:
         return cls(tokens)
 
 
-def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
+class TokenizedCorpus:
+    """Documents, one line of text each, split into whitespace tokens
+    once.
+
+    `types` lists each distinct token in order of first appearance,
+    `ids` holds the tokens of every document end to end as indices into
+    `types`, and `lengths` the token count of each document. Each token
+    is split and hashed once here; `build_vocab` counts the ids and
+    `chunk_corpus` encodes `types`, so neither reads the text again.
+    """
+
+    def __init__(self, lines: Iterable[str]):
+        index: defaultdict = defaultdict()
+        # A token not seen before gets the next index.
+        index.default_factory = index.__len__
+        lookup = index.__getitem__
+        flat, lengths = array("q"), []
+        for line in lines:
+            ids = list(map(lookup, line.split()))
+            lengths.append(len(ids))
+            flat.extend(ids)
+        # The factory refers back to the dict; dropping it lets the dict
+        # go when this returns instead of at the next cycle collection.
+        index.default_factory = None
+        self.types = list(index)
+        self.ids = np.frombuffer(flat, dtype=np.int64)
+        self.lengths = np.array(lengths, dtype=np.int64)
+
+    @classmethod
+    def of(cls, lines: Union["TokenizedCorpus", Iterable[str]]
+           ) -> "TokenizedCorpus":
+        return lines if isinstance(lines, cls) else cls(lines)
+
+
+def build_vocab(lines: Union[TokenizedCorpus, Iterable[str]],
+                max_size: int) -> Vocab:
     """Frequency-ranked vocabulary over whitespace tokens.
 
+    `lines` are documents of text, or a `TokenizedCorpus` of them.
     Ties break lexicographically so the result is deterministic for a
     given corpus regardless of line order. `max_size` bounds the total
     size including the special tokens.
@@ -54,10 +93,13 @@ def build_vocab(lines: Iterable[str], max_size: int) -> Vocab:
         raise ValueError(
             f"max_size must exceed the {N_SPECIAL} special tokens"
         )
-    counts = Counter(chain.from_iterable(map(str.split, lines)))
-    if not counts:
+    corpus = TokenizedCorpus.of(lines)
+    types = corpus.types
+    if not types:
         raise ValueError("corpus is empty")
+    counts = np.bincount(corpus.ids, minlength=len(types)).tolist()
     # A stable sort by falling count keeps ties in lexicographic order.
-    ranked = sorted(counts)
+    ranked = sorted(range(len(types)), key=types.__getitem__)
     ranked.sort(key=counts.__getitem__, reverse=True)
-    return Vocab(list(SPECIAL_TOKENS) + ranked[:max_size - N_SPECIAL])
+    return Vocab(list(SPECIAL_TOKENS)
+                 + [types[i] for i in ranked[:max_size - N_SPECIAL]])

@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from gatedssm import cli
 from gatedssm.cli import main
+from gatedssm.model import ModelConfig, param_count
 from gatedssm.pretrain import (
     Vocab,
     continue_pretrain,
@@ -403,6 +405,43 @@ def test_train_missing_data_fails(tmp_path, capsys):
     assert main(["train", str(tmp_path / "missing"),
                  "--out", str(tmp_path / "run")]) == 1
     assert "vocab.txt" in capsys.readouterr().err
+
+
+def test_train_refuses_a_model_whose_state_cannot_fit(tmp_path, short_run,
+                                                     monkeypatch, capsys):
+    data = short_run[0]
+    argv = ["train", data, *MODEL_FLAGS, *TRAIN_FLAGS]
+    vocab_size = len(Vocab.load(os.path.join(data, "vocab.txt")))
+
+    def state_bytes(**model):
+        # 4 float64 arrays per parameter: the parameter, its gradient
+        # and AdamW's two moments.
+        cfg = ModelConfig(vocab_size=vocab_size, max_len=32, **model)
+        return 32 * param_count(cfg)["total"]
+
+    need = state_bytes(d_model=16, n_state=4, n_layers=1, dropout=0.0)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "too-big"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{need / 1e9:.2f} GB" in err, err
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need)
+    assert main(argv + ["--out", str(tmp_path / "fits")]) == 0
+    # The paper's default model, 315M parameters at this vocabulary.
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 8 << 30)
+    assert main(["train", data, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert f"needs {state_bytes() / 1e9:.2f} GB" in capsys.readouterr().err
+
+
+def test_state_check_is_skipped_without_a_memory_figure(monkeypatch):
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(cli.os, "sysconf", unknown)
+    assert cli._physical_memory() is None
+    cli._check_state_fits(ModelConfig())
 
 
 def test_eval_missing_checkpoint_fails(tmp_path, corpus, capsys):

@@ -576,6 +576,33 @@ def test_forward_mlm_rows_match_full_logits(arch, routing):
                                       rng_full.uniform((4,)))
 
 
+@pytest.mark.parametrize("arch,routing", VARIANTS)
+def test_forward_mlm_labels_give_the_loss_of_the_labeled_logits(arch,
+                                                                 routing):
+    cfg = toy_config(arch=arch, routing=routing, n_heads=2)
+    params = init_model(cfg, Rng(67))
+    tokens = Rng(68).integers(0, cfg.vocab_size, (3, 6))
+    labels = np.full(tokens.shape, -1)
+    labels[[0, 1, 1, 2], [5, 0, 3, 2]] = [1, 7, 0, cfg.vocab_size - 1]
+    rows = T.labeled_rows(labels)
+    with no_grad():
+        logits = forward_mlm(tokens, cfg, params, rows=rows)
+        want = T.masked_cross_entropy(logits, labels.reshape(-1)[rows])
+        got = forward_mlm(tokens, cfg, params, labels=labels)
+    assert got.shape == () and float(got.data) == float(want.data)
+
+
+def test_forward_mlm_labels_are_checked():
+    cfg = toy_config()
+    params = init_model(cfg, Rng(69))
+    tokens = np.zeros((2, 6), dtype=np.int64)
+    with pytest.raises(ValueError, match="rows or labels, not both"):
+        forward_mlm(tokens, cfg, params, rows=np.array([0]),
+                    labels=np.zeros_like(tokens))
+    with pytest.raises(ValueError, match="does not match tokens"):
+        forward_mlm(tokens, cfg, params, labels=np.zeros(12, dtype=np.int64))
+
+
 def test_forward_mlm_rows_gradients():
     # Two layers put the block that runs on `rows` behind a full one.
     tokens = np.array([[1, 4, 7, 2], [9, 3, 3, 6]])

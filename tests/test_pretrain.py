@@ -25,6 +25,7 @@ from gatedssm.pretrain import (
     write_shard,
 )
 from gatedssm.pretrain.optim import BETA1, BETA2, BLOCK, EPS, WEIGHT_DECAY
+from gatedssm.pretrain.vocab import TokenizedCorpus
 
 # ---------------------------------------------------------------------------
 # vocab
@@ -52,6 +53,16 @@ def test_build_vocab_respects_max_size():
 def test_build_vocab_empty_corpus():
     with pytest.raises(ValueError, match="empty"):
         build_vocab(["", "   "], max_size=10)
+
+
+def test_tokenized_corpus_splits_each_line_once():
+    corpus = TokenizedCorpus(["b a b\n", "", "  c a\tb "])
+    assert corpus.types == ["b", "a", "c"]
+    np.testing.assert_array_equal(corpus.ids, [0, 1, 0, 2, 1, 0])
+    np.testing.assert_array_equal(corpus.lengths, [3, 0, 3])
+    assert TokenizedCorpus.of(corpus) is corpus
+    lines = ["b a b", "", "c a b"]
+    assert build_vocab(corpus, 8).tokens == build_vocab(lines, 8).tokens
 
 
 def test_vocab_unknown_maps_to_unk():

@@ -928,6 +928,139 @@ def test_uniform_logits_give_log_vocab():
 
 
 # ---------------------------------------------------------------------------
+# masked cross-entropy on the tied head
+
+
+def head_rows_per_block(n_classes):
+    return max(1, T.HEAD_BLOCK // n_classes)
+
+
+# (labeled and unlabeled rows, classes, head width, unlabeled share)
+HEAD_CASES = {
+    "bert-width": (154, 30522, 64, 0.0),
+    "toy-width": (40, 96, 64, 0.0),
+    "partial-last-block": (2 * ce_rows_per_block(30522) + 1, 30522, 16, 0.0),
+    "partial-last-head-block": (head_rows_per_block(30522) + 5, 30522, 16,
+                                0.0),
+    "scattered-labels": (41, 30522, 16, 0.4),
+    "scattered-labels-narrow": (3 * ce_rows_per_block(96) + 11, 96, 16, 0.4),
+}
+
+
+def tied_head_case(case, seed=68):
+    n, n_classes, d, unlabeled = HEAD_CASES[case]
+    rng = Rng(seed)
+    head = rng.normal((n, d))
+    table = rng.normal((n_classes, d), std=0.5)
+    labels = rng.integers(0, n_classes, (n,))
+    labels[rng.uniform((n,)) < unlabeled] = -1
+    labels[0] = n_classes - 1
+    assert (labels == -1).any() == (unlabeled > 0)
+    return head, table, labels
+
+
+def tied_head_run(head, table, labels, fused, g=2.5):
+    """Loss, head and table gradients, and the no_grad loss, of the op
+    given the table (fused) or given the logits of matmul and
+    transpose."""
+    h = Tensor(head, requires_grad=True)
+    t = Tensor(table, requires_grad=True)
+
+    def loss():
+        if fused:
+            return nm.masked_cross_entropy(h, labels, t)
+        return nm.masked_cross_entropy(nm.matmul(h, nm.transpose(t)),
+                                       labels)
+
+    value = loss()
+    backward(nm.mul(value, g))
+    with no_grad():
+        plain = loss()
+    assert plain.node is None
+    return float(value.data), h.grad, t.grad, float(plain.data)
+
+
+@pytest.mark.parametrize("case", HEAD_CASES)
+def test_tied_head_cross_entropy_matches_matmul_then_loss_bit_for_bit(case):
+    head, table, labels = tied_head_case(case)
+    want = tied_head_run(head, table, labels, fused=False)
+    got = tied_head_run(head, table, labels, fused=True)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
+    np.testing.assert_array_equal(got[2], want[2])
+    if (labels >= 0).sum() <= head_rows_per_block(len(table)):
+        assert got[3] == want[3]
+    else:
+        # One GEMM per head block may round a row's logits differently
+        # from one GEMM over every row, so the unrecorded loss is held
+        # to an ulp here (it has matched bit for bit on OpenBLAS).
+        assert abs(got[3] - want[3]) <= np.spacing(want[3]), got[3] - want[3]
+
+
+def test_tied_head_cross_entropy_gradients():
+    rng = Rng(69)
+    head = leaf(rng, (6, 5))
+    table = leaf(rng, (7, 5))
+    labels = np.array([0, 3, -1, 6, -1, 2])
+
+    def f():
+        return nm.masked_cross_entropy(head, labels, table)
+
+    check_grads(f, [("head", head), ("table", table)])
+    head.zero_grad()
+    backward(f())
+    np.testing.assert_array_equal(head.grad[[2, 4]], np.zeros((2, 5)))
+
+
+def test_tied_head_cross_entropy_holds_one_vocabulary_wide_buffer():
+    head, table, labels = tied_head_case("bert-width")
+    buffer = head.shape[0] * table.shape[0] * 8
+    assert head_rows_per_block(table.shape[0]) < head.shape[0]
+    h = Tensor(head, requires_grad=True)
+    t = Tensor(table, requires_grad=True)
+    kept = []
+
+    def recorded(fused):
+        def run():
+            if fused:
+                kept.append(nm.masked_cross_entropy(h, labels, t))
+            else:
+                kept.append(nm.masked_cross_entropy(
+                    nm.matmul(h, nm.transpose(t)), labels))
+        return run
+
+    def evaluated():
+        with no_grad():
+            nm.masked_cross_entropy(h, labels, t)
+
+    # matmul's logits and the loss's buffer are two such arrays.
+    assert traced_peak(recorded(fused=False)) > 2 * buffer
+    kept.clear()
+    assert traced_peak(recorded(fused=True)) < 1.1 * buffer
+    assert traced_peak(evaluated) < buffer
+
+
+def test_tied_head_cross_entropy_second_backward_raises():
+    rng = Rng(70)
+    head, table = leaf(rng, (5, 3)), leaf(rng, (7, 3))
+    loss = nm.masked_cross_entropy(head, np.array([1, -1, 6, 0, 2]), table)
+    backward(loss)
+    first = head.grad.copy(), table.grad.copy()
+    with pytest.raises(RuntimeError, match="backward already ran") as info:
+        backward(loss)
+    assert "\n" not in str(info.value)
+    np.testing.assert_array_equal(head.grad, first[0])
+    np.testing.assert_array_equal(table.grad, first[1])
+
+
+def test_tied_head_cross_entropy_rejects_a_table_of_another_width():
+    with pytest.raises(ValueError, match="differ in width") as info:
+        nm.masked_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]),
+                                Tensor(np.zeros((5, 4))))
+    assert "\n" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
 # composite
 
 

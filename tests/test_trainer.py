@@ -8,13 +8,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import count_nodes, traced_peak
 
 import gatedssm.numerics.tensor as T
 import gatedssm.pretrain.trainer as trainer
 from gatedssm.checkpoint import load_checkpoint, save_checkpoint
 from gatedssm.model import ModelConfig, forward_mlm, init_model
-from gatedssm.numerics import Rng, backward, derive_seed
+from gatedssm.numerics import Rng, backward, derive_seed, no_grad
 from gatedssm.pretrain import (
     FINAL_CHECKPOINT,
     LOSS_CSV_NAME,
@@ -695,6 +695,46 @@ def test_one_forward_per_batch(tmp_path, monkeypatch):
     params = init_model(cfg, Rng(23))
     eval_mlm(cfg, params, ids, labels, batch_size=4)
     assert len(calls) == 6
+
+
+def bert_vocab_case(seed: int):
+    """A one-layer d=16 attention model over BERT's 30522-token
+    vocabulary and a (4, 64) batch with about half its positions
+    labeled."""
+    cfg = ModelConfig(arch="stacked", routing="attention", n_layers=1,
+                      d_model=16, n_heads=2, max_len=64, vocab_size=30522,
+                      dropout=0.1)
+    rng = Rng(seed)
+    ids = rng.integers(N_SPECIAL, cfg.vocab_size, (4, 64))
+    labels = np.where(rng.uniform(ids.shape) < 0.5, ids, -1)
+    return cfg, init_model(cfg, rng), ids, labels
+
+
+def test_eval_holds_no_vocabulary_wide_array():
+    cfg, params, ids, labels = bert_vocab_case(24)
+    rows = T.labeled_rows(labels)
+    buffer = rows.size * cfg.vocab_size * 8
+    assert rows.size > T.HEAD_BLOCK // cfg.vocab_size
+    peak = traced_peak(lambda: eval_mlm(cfg, params, ids, labels,
+                                        batch_size=4))
+    assert peak < buffer, (peak, buffer)
+    # The logits of the same rows are one such array.
+    with no_grad():
+        assert traced_peak(lambda: forward_mlm(ids, cfg, params,
+                                               rows=rows)) > buffer
+
+
+def test_training_step_records_two_fewer_tape_nodes():
+    # The loss forms the tied head's logits itself, so the matmul and
+    # the transpose of the token table are no longer on the tape.
+    cfg, params, ids, labels = bert_vocab_case(25)
+    rows = T.labeled_rows(labels)
+    fused = _batch_loss(cfg, params, ids, labels, train=True, rng=Rng(1))
+    logits = forward_mlm(ids, cfg, params, train=True, rng=Rng(1),
+                         rows=rows)
+    apart = T.masked_cross_entropy(logits, labels.reshape(-1)[rows])
+    assert count_nodes(fused) == count_nodes(apart) - 2
+    assert float(fused.data) == float(apart.data)
 
 
 def test_later_steps_peak_no_higher_than_the_first(tmp_path):
