@@ -434,46 +434,39 @@ def stacked_block(x, p: StackedBlockParams, routing: str, *,
     return T.layer_norm(T.add(sub1, ffn), p.ln2_gain, p.ln2_bias)
 
 
-def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
-                *, train: bool = False, rng: Optional[Rng] = None,
-                rows: Optional[np.ndarray] = None,
-                labels: Optional[np.ndarray] = None) -> Tensor:
-    """Token ids (L,) or (batch, L) to prediction logits (..., L, vocab).
+def forward_mlm(tokens: np.ndarray, labels: np.ndarray, cfg: ModelConfig,
+                params: ModelParams, *, train: bool = False,
+                rng: Optional[Rng] = None) -> Tensor:
+    """The masked-LM loss of token ids (L,) or (batch, L).
 
-    With `rows`, integer indices into the flattened (batch * L)
-    positions, the result is (len(rows), vocab): row i holds the logits
-    of position rows[i], the same bits as the full forward's. The
+    `labels` are integer ids shaped like `tokens`, -1 where a position
+    is not scored; the result is the scalar mean cross-entropy over the
+    labeled positions (`T.labeled_rows`). Only those rows reach the
     prediction head and the last block's per-position part after its
-    sequence mixing run on those positions alone; every earlier block
-    runs on all of them. Masked-LM training labels about 15% of
-    positions, so this skips most of the vocabulary-wide output
-    projection and, in a gated block, 85% of the GEMM multiply-adds and
-    75% of the GELU elements of the last block.
-
-    With `labels`, integer ids shaped like `tokens` and -1 where a
-    position is not scored, the result is instead the scalar masked-LM
-    loss: `rows` become the labeled positions (`T.labeled_rows`), and
-    `T.masked_cross_entropy` forms their tied-head logits itself, so no
-    logits tensor is kept. Pass `rows` or `labels`, not both.
+    sequence mixing; every earlier block runs on all positions. Masked-
+    LM training labels about 15% of positions, so this skips most of
+    the vocabulary-wide output projection and, in a gated block, 85% of
+    the GEMM multiply-adds and 75% of the GELU elements of the last
+    block. `T.masked_cross_entropy` forms the rows' tied-head logits
+    itself, so no logits tensor is kept.
 
     Dropout fires only with train=True, drawing masks from `rng` in a
     fixed order so a given (parameters, rng state) pair is replayable.
     The last block draws its masks at the full shape and gathers them,
-    so `rows` leaves the draws unchanged. README gives the measured
-    effect.
+    so the draws are those of a forward over every position. README
+    gives the measured effect.
     """
     tokens = np.asarray(tokens)
     if tokens.ndim not in (1, 2):
         raise ValueError("tokens must be a 1-D or 2-D integer array")
-    if labels is not None:
-        if rows is not None:
-            raise ValueError("forward_mlm takes rows or labels, not both")
-        labels = np.asarray(labels)
-        if labels.shape != tokens.shape:
-            raise ValueError(f"labels shape {labels.shape} does not match "
-                             f"tokens {tokens.shape}")
-        labels = labels.reshape(-1)
-        rows = T.labeled_rows(labels)
+    labels = np.asarray(labels)
+    if labels.shape != tokens.shape:
+        raise ValueError(f"labels shape {labels.shape} does not match "
+                         f"tokens {tokens.shape}")
+    labels = labels.reshape(-1)
+    rows = T.labeled_rows(labels)
+    if rows.size == 0:
+        raise ValueError("forward_mlm: no labeled positions")
     length = tokens.shape[-1]
     emb = params.embeddings
     h = T.embedding(emb.token_table, tokens)
@@ -497,9 +490,7 @@ def forward_mlm(tokens: np.ndarray, cfg: ModelConfig, params: ModelParams,
                               rows=picked)
     head = T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
                         emb.head_ln_gain, emb.head_ln_bias)
-    if labels is not None:
-        return T.masked_cross_entropy(head, labels[rows], emb.token_table)
-    return T.matmul(head, T.transpose(emb.token_table))
+    return T.masked_cross_entropy(head, labels[rows], emb.token_table)
 
 
 # ---------------------------------------------------------------------------

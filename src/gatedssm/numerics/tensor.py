@@ -973,19 +973,20 @@ def ssm_conv(log_neg_re, im, c_re, c_im, log_dt, d, u) -> Tensor:
 
 
 CE_BLOCK = 1 << 17
-"""Elements per row block of ``masked_cross_entropy``. A block (1 MiB)
-stays in a core's 2 MiB of L2 through the shift, the exponential and
-the row sum. On (154, 30522) and (4096, 96) logits, the powers of two
-from 2^13 to 2^21 timed within one another's spread on a 2-vCPU Xeon
-with 2 MiB of L2 per core. Rows wider than a block go one at a time."""
+"""Elements per sub-block of ``masked_cross_entropy``'s shift, pick,
+exponential and row-sum passes. A sub-block (1 MiB) stays in a core's
+2 MiB of L2 through all four. On (154, 30522) and (4096, 96) logits,
+the powers of two from 2^13 to 2^21 timed within one another's spread
+on a 2-vCPU Xeon with 2 MiB of L2 per core. Rows wider than a block go
+one at a time."""
 
 HEAD_BLOCK = 1 << 21
-"""Elements per row block of ``masked_cross_entropy``'s tied-head GEMM
-when no node is recorded: 68 rows (16 MiB) at BERT's 30522 classes.
-Each block's GEMM reads the whole table, so small blocks stream it many
-times. On (154, 64) heads against a (30522, 64) table (2-vCPU Xeon,
-OpenBLAS 0.3.31 on 2 threads, median of 7 calls) the op took 52.6 ms
-at 2^17 elements (4 rows, 39 table reads), 20.2 at 2^19, 17.7 at 2^20,
+"""Elements per row block of ``masked_cross_entropy``'s tied-head GEMM:
+68 rows (16 MiB) at BERT's 30522 classes. Each block's GEMM reads the
+whole table, so small blocks stream it many times. On (154, 64) heads
+against a (30522, 64) table (2-vCPU Xeon, OpenBLAS 0.3.31 on 2
+threads, median of 7 calls) the op took 52.6 ms under ``no_grad`` at
+2^17 elements (4 rows, 39 table reads), 20.2 at 2^19, 17.7 at 2^20,
 15.3 at 2^21, 15.8 at 2^22 and 17.6 at 2^23."""
 
 
@@ -1007,93 +1008,69 @@ def labeled_rows(labels: np.ndarray) -> np.ndarray:
     return np.flatnonzero(labels >= 0)
 
 
-def masked_cross_entropy(logits, labels: np.ndarray, table=None) -> Tensor:
-    """Mean cross-entropy over labeled rows.
+def masked_cross_entropy(head, targets: np.ndarray, table) -> Tensor:
+    """Mean cross-entropy of the tied-head logits ``head @ table.T``.
 
-    logits: (rows, n_classes); labels: (rows,) integer ids with -1
-    marking rows that do not contribute (checked by ``labeled_rows``).
-    With ``table`` (n_classes, d), the first argument is instead the
-    (rows, d) head whose logits are ``head @ table.T``, the tied output
-    projection, and the op forms them itself: the loss and the head and
-    table gradients are those of ``matmul(head, transpose(table))``
-    followed by this op on the logits, with two tape nodes fewer.
+    head: (n, d) rows, one per scored position; targets: (n,) class
+    ids, each in [0, n_classes); table: (n_classes, d), the token
+    table. Every row counts. The loss and the head and table gradients
+    are those of ``matmul(head, transpose(table))`` followed by the
+    softmax cross-entropy of each row against its target, averaged.
 
-    The labeled rows are walked in blocks of about ``CE_BLOCK``
-    elements: each block is shifted by its row maxima, its targets are
-    picked, and it is exponentiated and summed while it is in cache.
-    When a tape node is recorded, the blocks land in one (labeled rows,
-    n_classes) buffer of shifted exponentials, which the backward rule
-    scales into the gradient in place; the rule can therefore run once,
-    and a second call raises. With a table that buffer first receives
-    the logits of the labeled head rows from one GEMM, the same call
-    ``matmul`` makes, and the blocks are shifted in place. When no node
-    is recorded (``no_grad``, or inputs that need no gradient), every
-    block reuses one block-sized scratch, so nothing of the logits'
-    size is allocated; with a table, blocks of ``HEAD_BLOCK`` elements
-    each run their own GEMM into that scratch. Every pass is row-local
-    and in the order of the unblocked formula, so the bits do not
-    depend on ``CE_BLOCK``. A GEMM over some rows can round those rows
-    differently from one over all of them (OpenBLAS picks its kernels by
-    shape), so where the labeled rows span more than one head block,
-    the ``no_grad`` loss may differ from the recorded one in its last
-    bits.
+    The rows go in blocks of ``HEAD_BLOCK`` elements. Each block's
+    logits come from one GEMM; then ``CE_BLOCK``-sized sub-blocks are
+    shifted by their row maxima, their targets are picked, and they are
+    exponentiated and summed while they are in cache. When a tape node
+    is recorded, the blocks are slices of one (n, n_classes) buffer of
+    shifted exponentials, which the backward rule scales into the
+    logits' gradient G in place before returning d_head = G table and
+    d_table = (head^T G)^T; the rule can therefore run once, and a
+    second call raises. When no node is recorded (``no_grad``, or
+    inputs that need no gradient), every block reuses one block-sized
+    scratch, so nothing of the logits' size is allocated. Both run the
+    same GEMMs and row-local passes in the same order, so the recorded
+    and unrecorded losses are the same bits.
     """
-    x = as_tensor(logits)
-    labels = np.asarray(labels)
-    if x.ndim != 2:
-        raise ValueError(f"logits must be 2-D, got {x.data.shape}")
-    n_rows = x.data.shape[0]
-    if labels.shape != (n_rows,):
+    head, table = as_tensor(head), as_tensor(table)
+    targets = np.asarray(targets)
+    if (head.ndim != 2 or table.ndim != 2
+            or head.data.shape[1] != table.data.shape[1]):
         raise ValueError(
-            f"labels shape {labels.shape} does not match logits rows "
-            f"{n_rows}"
+            f"head {head.data.shape} and table {table.data.shape} differ "
+            f"in width"
         )
-    if table is None:
-        inputs = (x,)
-        n_classes = x.data.shape[1]
-    else:
-        table = as_tensor(table)
-        inputs = (x, table)
-        if table.ndim != 2 or table.data.shape[1] != x.data.shape[1]:
-            raise ValueError(
-                f"head {x.data.shape} and table {table.data.shape} differ "
-                f"in width"
-            )
-        n_classes = table.data.shape[0]
-    sel = labeled_rows(labels)
-    if sel.size == 0:
-        raise ValueError("masked_cross_entropy: no labeled positions")
-    n = sel.size
-    every_row = n == n_rows
-    tgt = labels[sel]
-    if tgt.max() >= n_classes:
-        raise ValueError("label id out of vocabulary range")
-    keep = _grad_enabled() and any(t.requires_grad for t in inputs)
-    fused_blocks = table is not None and not keep
-    step = max(1, (HEAD_BLOCK if fused_blocks else CE_BLOCK) // n_classes)
+    n, n_classes = head.data.shape[0], table.data.shape[0]
+    if targets.shape != (n,):
+        raise ValueError(
+            f"targets shape {targets.shape} does not match head rows {n}"
+        )
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError(
+            f"targets must be integers, got dtype {targets.dtype}"
+        )
+    if n == 0:
+        raise ValueError("masked_cross_entropy: no rows to score")
+    lo, hi = targets.min(), targets.max()
+    if lo < 0 or hi >= n_classes:
+        raise ValueError(f"targets must be class ids in [0, {n_classes}), "
+                         f"got {int(lo if lo < 0 else hi)}")
+    keep = _grad_enabled() and (head.requires_grad or table.requires_grad)
+    step = max(1, HEAD_BLOCK // n_classes)
+    sub = max(1, CE_BLOCK // n_classes)
     e = np.empty((n if keep else min(n, step), n_classes))
-    if table is not None:
-        head = x.data if every_row else x.data[sel]
-        if keep:
-            np.matmul(head, table.data.T, out=e)
     z_tgt = np.empty(n)
     total = np.empty(n)
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
-        z = e[r0:r1] if keep else e[:r1 - r0]
-        if fused_blocks:
-            src = np.matmul(head[r0:r1], table.data.T, out=z)
-        elif table is not None:
-            src = z
-        elif every_row:
-            src = x.data[r0:r1]
-        else:
-            # sel holds valid rows; "clip" lets take write straight to z.
-            src = np.take(x.data, sel[r0:r1], axis=0, out=z, mode="clip")
-        np.subtract(src, src.max(axis=1, keepdims=True), out=z)
-        z_tgt[r0:r1] = z[np.arange(r1 - r0), tgt[r0:r1]]
-        np.exp(z, out=z)
-        np.sum(z, axis=1, out=total[r0:r1])
+        block = e[r0:r1] if keep else e[:r1 - r0]
+        np.matmul(head.data[r0:r1], table.data.T, out=block)
+        for s0 in range(r0, r1, sub):
+            s1 = min(s0 + sub, r1)
+            z = block[s0 - r0:s1 - r0]
+            np.subtract(z, z.max(axis=1, keepdims=True), out=z)
+            z_tgt[s0:s1] = z[np.arange(s1 - s0), targets[s0:s1]]
+            np.exp(z, out=z)
+            np.sum(z, axis=1, out=total[s0:s1])
     data = np.array(-(z_tgt - np.log(total)).mean())
 
     def rule(g):
@@ -1106,13 +1083,8 @@ def masked_cross_entropy(logits, labels: np.ndarray, table=None) -> Tensor:
         p, e = e, None
         scale = float(g) / n
         np.multiply(p, (scale / total)[:, None], out=p)
-        p[np.arange(n), tgt] -= scale
-        if not every_row:
-            p, picked = np.zeros((n_rows, n_classes)), p
-            p[sel] = picked
-        if table is None:
-            return (p,)
+        p[np.arange(n), targets] -= scale
         # matmul's two products; transpose's rule turns the second back.
-        return np.matmul(p, table.data), np.matmul(x.data.T, p).T
+        return np.matmul(p, table.data), np.matmul(head.data.T, p).T
 
-    return _record("masked_cross_entropy", data, inputs, rule)
+    return _record("masked_cross_entropy", data, (head, table), rule)

@@ -357,13 +357,6 @@ def load_run_checkpoint(directory: str):
     return params, optimizer, meta
 
 
-def _batch_loss(cfg: ModelConfig, params: ModelParams, ids: np.ndarray,
-                labels: np.ndarray, *, train: bool,
-                rng: Optional[Rng]) -> T.Tensor:
-    return forward_mlm(ids, cfg, params, train=train, rng=rng,
-                       labels=labels)
-
-
 def _open_loss_csv(path: str, start_step: int):
     """Open `loss.csv` for rows from `start_step` on.
 
@@ -421,8 +414,8 @@ def train_mlm(model_cfg: ModelConfig, train_cfg: TrainConfig,
             lr = schedule(step, train_cfg.steps, train_cfg.warmup_frac,
                           train_cfg.peak_lr)
             drop_rng = Rng(derive_seed(train_cfg.seed, "dropout", step))
-            loss = _batch_loss(model_cfg, params, input_ids[idx],
-                               labels[idx], train=True, rng=drop_rng)
+            loss = forward_mlm(input_ids[idx], labels[idx], model_cfg,
+                               params, train=True, rng=drop_rng)
             value = float(loss.data)
             if not np.isfinite(value):
                 bad = next((name for name, t in params.named_parameters()
@@ -466,8 +459,7 @@ def eval_mlm(model_cfg: ModelConfig, params: ModelParams,
             n = T.labeled_rows(lab).size
             if n == 0:
                 continue
-            loss = _batch_loss(model_cfg, params, ids, lab,
-                               train=False, rng=None)
+            loss = forward_mlm(ids, lab, model_cfg, params)
             total += float(loss.data) * n
             weight += n
     if weight == 0:

@@ -1,5 +1,5 @@
-"""Shared test helpers: finite-difference oracle, error metrics and a
-memory probe."""
+"""Shared test helpers: finite-difference oracle, error metrics, a
+memory probe and the masked-LM loss as plain compositions."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+import gatedssm.numerics.tensor as T
+from gatedssm.model import gated_block, stacked_block
 from gatedssm.numerics import Tensor, no_grad
 
 
@@ -74,15 +76,20 @@ def traced_peak(fn: Callable[[], object]) -> int:
         tracemalloc.stop()
 
 
-def count_nodes(out: Tensor) -> int:
+def tape_nodes(out: Tensor) -> list:
     """Tape nodes reachable from out."""
-    seen, stack = set(), [out]
+    seen, stack, nodes = set(), [out], []
     while stack:
         t = stack.pop()
         if t.node is not None and id(t) not in seen:
             seen.add(id(t))
+            nodes.append(t.node)
             stack.extend(t.node.inputs)
-    return len(seen)
+    return nodes
+
+
+def count_nodes(out: Tensor) -> int:
+    return len(tape_nodes(out))
 
 
 def boost_gated_weights(blk, factor: float = 25.0) -> None:
@@ -94,3 +101,46 @@ def boost_gated_weights(blk, factor: float = 25.0) -> None:
     """
     for name in ("w_v", "w_f", "w_b", "w_u1", "w_u2", "w_u", "w_o"):
         getattr(blk, name).data[:] *= factor
+
+
+def unblocked_cross_entropy(logits, targets, g=1.0):
+    """Mean softmax cross-entropy of every row against its target and
+    its gradient, as one pass over whole arrays with a shifted copy and
+    a separate gradient buffer: the oracle that the row-blocked
+    ``T.masked_cross_entropy`` must reproduce bit for bit."""
+    rows = np.arange(len(targets))
+    z = logits - logits.max(axis=1, keepdims=True)
+    z_tgt = z[rows, targets]
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    loss = -(z_tgt - np.log(total)).mean()
+    scale = g / len(targets)
+    grad = e * (scale / total)[:, None]
+    grad[rows, targets] -= scale
+    return loss, grad
+
+
+def mlm_head(tokens, cfg, params, rows=None, *, train=False, rng=None):
+    """The prediction head's output as a plain composition: embedding,
+    every block on every position, a gather of the flat positions
+    `rows` (all of them when None), then the head transform. The
+    oracle for `forward_mlm`, which runs the last block on its labeled
+    rows only."""
+    emb = params.embeddings
+    h = T.embedding(emb.token_table, tokens)
+    if cfg.use_position_embeddings:
+        h = T.add(h, T.getitem(emb.position_table,
+                               slice(0, tokens.shape[-1])))
+    p_drop = cfg.dropout if train else 0.0
+    for blk in params.blocks:
+        if cfg.arch == "gated":
+            h = gated_block(h, blk, dropout_p=p_drop, rng=rng, train=train,
+                            n_heads=cfg.n_heads)
+        else:
+            h = stacked_block(h, blk, cfg.routing, n_heads=cfg.n_heads,
+                              dropout_p=p_drop, rng=rng, train=train)
+    h = T.reshape(h, (-1, cfg.d_model))
+    if rows is not None:
+        h = T.embedding(h, rows)
+    return T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
+                        emb.head_ln_gain, emb.head_ln_bias)

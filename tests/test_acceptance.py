@@ -94,8 +94,7 @@ def test_every_gradient_matches_finite_differences():
         labels[pos] = int(tokens[pos])
 
     def loss():
-        logits = forward_mlm(tokens, cfg, params)
-        return T.masked_cross_entropy(logits, labels)
+        return forward_mlm(tokens, labels, cfg, params)
 
     named = [(n, t) for n, t in params.named_parameters()
              if t.requires_grad]

@@ -298,11 +298,9 @@ def test_probe_kernel_moves_after_training_step():
     params = init_model(cfg, Rng(21))
     before = dump_kernels(params)
     tokens = Rng(22).integers(5, cfg.vocab_size, (8,))
-    logits = forward_mlm(tokens, cfg, params)
     labels = np.full(8, -1)
     labels[2] = int(tokens[2])
-    from gatedssm.numerics import tensor as T
-    loss = T.masked_cross_entropy(logits, labels)
+    loss = forward_mlm(tokens, labels, cfg, params)
     opt = AdamW(params.trainable_parameters())
     backward(loss)
     opt.step(lr=1e-2)

@@ -4,7 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import boost_gated_weights, check_grads, count_nodes
+from conftest import (
+    boost_gated_weights,
+    check_grads,
+    count_nodes,
+    mlm_head,
+    unblocked_cross_entropy,
+)
 
 import gatedssm.numerics.tensor as T
 from gatedssm import ssm as S
@@ -491,15 +497,23 @@ def test_stacked_block_shape_mismatch():
 # forward_mlm
 
 
+def every_label(tokens):
+    """Labels that score every position against its own token."""
+    return np.asarray(tokens).copy()
+
+
 def test_forward_mlm_shapes_and_softmax_rows():
+    # A zero token table makes every logit row uniform, so the loss of
+    # 1-D and 2-D token arrays alike is log(vocab).
     cfg = toy_config()
     params = init_model(cfg, Rng(37))
-    tokens = Rng(38).integers(0, cfg.vocab_size, (12,))
-    with no_grad():
-        logits = forward_mlm(tokens, cfg, params)
-    assert logits.shape == (12, cfg.vocab_size)
-    probs = T.softmax(logits, axis=-1).data
-    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+    params.embeddings.token_table.data[:] = 0.0
+    for shape in ((12,), (3, 4)):
+        tokens = Rng(38).integers(0, cfg.vocab_size, shape)
+        with no_grad():
+            loss = forward_mlm(tokens, every_label(tokens), cfg, params)
+        assert loss.shape == ()
+        assert abs(float(loss.data) - np.log(cfg.vocab_size)) < 1e-12
 
 
 def test_forward_mlm_eval_deterministic():
@@ -507,9 +521,9 @@ def test_forward_mlm_eval_deterministic():
     params = init_model(cfg, Rng(39))
     tokens = Rng(40).integers(0, cfg.vocab_size, (8,))
     with no_grad():
-        a = forward_mlm(tokens, cfg, params).data
-        b = forward_mlm(tokens, cfg, params).data
-    np.testing.assert_array_equal(a, b)
+        a = forward_mlm(tokens, every_label(tokens), cfg, params).data
+        b = forward_mlm(tokens, every_label(tokens), cfg, params).data
+    assert a == b
 
 
 def test_forward_mlm_rejects_out_of_range():
@@ -517,18 +531,21 @@ def test_forward_mlm_rejects_out_of_range():
     params = init_model(cfg, Rng(41))
     bad = np.array([0, cfg.vocab_size, 1])
     with pytest.raises(ValueError, match="range"):
-        forward_mlm(bad, cfg, params)
+        forward_mlm(bad, np.array([0, 1, 1]), cfg, params)
 
 
 def test_forward_mlm_batched_matches_single():
+    # Every sequence scores all its positions, so the batch's loss is
+    # the mean of the sequences' losses.
     cfg = toy_config(n_layers=1)
     params = init_model(cfg, Rng(42))
     tokens = Rng(43).integers(0, cfg.vocab_size, (3, 10))
     with no_grad():
-        batched = forward_mlm(tokens, cfg, params).data
-        for i in range(3):
-            row = forward_mlm(tokens[i], cfg, params).data
-            np.testing.assert_allclose(batched[i], row, atol=1e-11)
+        batched = float(forward_mlm(tokens, every_label(tokens), cfg,
+                                    params).data)
+        rows = [float(forward_mlm(t, every_label(t), cfg, params).data)
+                for t in tokens]
+    assert batched == pytest.approx(np.mean(rows), rel=1e-12)
 
 
 def test_forward_mlm_all_four_variants_run():
@@ -539,9 +556,8 @@ def test_forward_mlm_all_four_variants_run():
             params = init_model(cfg, Rng(44))
             tokens = Rng(45).integers(0, cfg.vocab_size, (6,))
             with no_grad():
-                logits = forward_mlm(tokens, cfg, params)
-            assert logits.shape == (6, cfg.vocab_size)
-            assert np.all(np.isfinite(logits.data))
+                loss = forward_mlm(tokens, every_label(tokens), cfg, params)
+            assert loss.shape == () and np.isfinite(loss.data)
 
 
 VARIANTS = [("gated", "ssm"), ("gated", "attention"),
@@ -549,29 +565,64 @@ VARIANTS = [("gated", "ssm"), ("gated", "attention"),
 
 
 @pytest.mark.parametrize("arch,routing", VARIANTS)
-def test_forward_mlm_rows_match_full_logits(arch, routing):
-    # Only the last block and the head run on `rows`; every other value
-    # and every dropout mask is that of the full forward.
+def test_block_rows_match_the_full_block_then_a_gather(arch, routing):
+    # With `rows`, a block runs its per-position part on those rows
+    # alone; its output and the dropout draws stay the full block's.
     cfg = toy_config(arch=arch, routing=routing, n_heads=2, dropout=0.3)
-    params = init_model(cfg, Rng(64))
-    for shape, rows in (((6,), [5, 0, 3, 3]),
-                        ((3, 6), [17, 0, 7, 7, 12])):
-        tokens = Rng(65).integers(0, cfg.vocab_size, shape)
+    blk = init_model(cfg, Rng(64)).blocks[0]
+    if arch == "gated":
+        boost_gated_weights(blk)
+
+    def block(x, **kw):
+        if arch == "gated":
+            return gated_block(x, blk, dropout_p=cfg.dropout,
+                               n_heads=cfg.n_heads, **kw).data
+        return stacked_block(x, blk, routing, dropout_p=cfg.dropout,
+                             n_heads=cfg.n_heads, **kw).data
+
+    for shape, rows in (((6, 8), [5, 0, 3, 3]),
+                        ((3, 6, 8), [17, 0, 7, 7, 12])):
+        x = Tensor(Rng(65).normal(shape))
         rows = np.array(rows)
         with no_grad():
-            full = forward_mlm(tokens, cfg, params).data
-            got = forward_mlm(tokens, cfg, params, rows=rows).data
-        assert got.shape == (len(rows), cfg.vocab_size)
-        np.testing.assert_array_equal(
-            got, full.reshape(-1, cfg.vocab_size)[rows])
-        rng_full, rng_rows = Rng(66), Rng(66)
-        trained = forward_mlm(tokens, cfg, params, train=True,
-                              rng=rng_full).data
-        got = forward_mlm(tokens, cfg, params, train=True, rng=rng_rows,
-                          rows=rows).data
+            full = block(x).reshape(-1, cfg.d_model)
+            np.testing.assert_array_equal(block(x, rows=rows), full[rows])
+            rng_full, rng_rows = Rng(66), Rng(66)
+            trained = block(x, train=True, rng=rng_full)
+            got = block(x, train=True, rng=rng_rows, rows=rows)
+        trained = trained.reshape(-1, cfg.d_model)
         assert not np.array_equal(trained, full)  # dropout fired
-        np.testing.assert_array_equal(
-            got, trained.reshape(-1, cfg.vocab_size)[rows])
+        np.testing.assert_array_equal(got, trained[rows])
+        np.testing.assert_array_equal(rng_rows.uniform((4,)),
+                                      rng_full.uniform((4,)))
+
+
+def labeled_case(cfg, seed):
+    tokens = Rng(seed).integers(0, cfg.vocab_size, (3, 6))
+    labels = np.full(tokens.shape, -1)
+    labels[[0, 1, 1, 2], [5, 0, 3, 2]] = [1, 7, 0, cfg.vocab_size - 1]
+    return tokens, labels
+
+
+@pytest.mark.parametrize("arch,routing", VARIANTS)
+def test_forward_mlm_rows_match_full_logits(arch, routing):
+    # The loss is that of the labeled rows of the logits over every
+    # position, bit for bit, with dropout and after it.
+    cfg = toy_config(arch=arch, routing=routing, n_heads=2, dropout=0.3)
+    params = init_model(cfg, Rng(64))
+    tokens, labels = labeled_case(cfg, 65)
+    rows = T.labeled_rows(labels)
+    table = params.embeddings.token_table.data
+    for train in (False, True):
+        rng_full, rng_rows = Rng(66), Rng(66)
+        with no_grad():
+            head = mlm_head(tokens, cfg, params, train=train,
+                            rng=rng_full).data
+            got = forward_mlm(tokens, labels, cfg, params, train=train,
+                              rng=rng_rows)
+        want, _ = unblocked_cross_entropy((head @ table.T)[rows],
+                                          labels.reshape(-1)[rows])
+        assert float(got.data) == want
         np.testing.assert_array_equal(rng_rows.uniform((4,)),
                                       rng_full.uniform((4,)))
 
@@ -581,14 +632,13 @@ def test_forward_mlm_labels_give_the_loss_of_the_labeled_logits(arch,
                                                                  routing):
     cfg = toy_config(arch=arch, routing=routing, n_heads=2)
     params = init_model(cfg, Rng(67))
-    tokens = Rng(68).integers(0, cfg.vocab_size, (3, 6))
-    labels = np.full(tokens.shape, -1)
-    labels[[0, 1, 1, 2], [5, 0, 3, 2]] = [1, 7, 0, cfg.vocab_size - 1]
+    tokens, labels = labeled_case(cfg, 68)
     rows = T.labeled_rows(labels)
     with no_grad():
-        logits = forward_mlm(tokens, cfg, params, rows=rows)
-        want = T.masked_cross_entropy(logits, labels.reshape(-1)[rows])
-        got = forward_mlm(tokens, cfg, params, labels=labels)
+        want = T.masked_cross_entropy(
+            mlm_head(tokens, cfg, params, rows), labels.reshape(-1)[rows],
+            params.embeddings.token_table)
+        got = forward_mlm(tokens, labels, cfg, params)
     assert got.shape == () and float(got.data) == float(want.data)
 
 
@@ -596,18 +646,15 @@ def test_forward_mlm_labels_are_checked():
     cfg = toy_config()
     params = init_model(cfg, Rng(69))
     tokens = np.zeros((2, 6), dtype=np.int64)
-    with pytest.raises(ValueError, match="rows or labels, not both"):
-        forward_mlm(tokens, cfg, params, rows=np.array([0]),
-                    labels=np.zeros_like(tokens))
     with pytest.raises(ValueError, match="does not match tokens"):
-        forward_mlm(tokens, cfg, params, labels=np.zeros(12, dtype=np.int64))
+        forward_mlm(tokens, np.zeros(12, dtype=np.int64), cfg, params)
 
 
 def test_forward_mlm_rows_gradients():
-    # Two layers put the block that runs on `rows` behind a full one.
+    # Two layers put the block that runs on the labeled rows behind a
+    # full one.
     tokens = np.array([[1, 4, 7, 2], [9, 3, 3, 6]])
-    rows = np.array([0, 2, 5, 7])
-    labels = np.array([3, 5, 10, 0])
+    labels = np.array([[3, -1, 5, -1], [-1, 10, -1, 0]])
     for n_layers in (1, 2):
         cfg = toy_config(n_layers=n_layers, d_model=4, n_state=2,
                          vocab_size=11)
@@ -615,34 +662,9 @@ def test_forward_mlm_rows_gradients():
         if n_layers == 2:
             for blk in params.blocks:
                 boost_gated_weights(blk)
-
-        def f():
-            logits = forward_mlm(tokens, cfg, params, rows=rows)
-            return T.masked_cross_entropy(logits, labels)
-
         names = [(n, t) for n, t in params.trainable_parameters()]
-        check_grads(f, names, tol=2e-4)
-
-
-def forward_gathering_after_the_blocks(tokens, cfg, params, rows, rng):
-    """Training-mode logits at `rows` with every block run on all
-    positions and the rows gathered just before the head."""
-    emb = params.embeddings
-    h = T.embedding(emb.token_table, tokens)
-    if cfg.use_position_embeddings:
-        h = T.add(h, T.getitem(emb.position_table,
-                               slice(0, tokens.shape[-1])))
-    for blk in params.blocks:
-        if cfg.arch == "gated":
-            h = gated_block(h, blk, dropout_p=cfg.dropout, rng=rng,
-                            train=True, n_heads=cfg.n_heads)
-        else:
-            h = stacked_block(h, blk, cfg.routing, n_heads=cfg.n_heads,
-                              dropout_p=cfg.dropout, rng=rng, train=True)
-    h = T.embedding(T.reshape(h, (-1, cfg.d_model)), rows)
-    head = T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
-                        emb.head_ln_gain, emb.head_ln_bias)
-    return T.matmul(head, T.transpose(emb.token_table))
+        check_grads(lambda: forward_mlm(tokens, labels, cfg, params),
+                    names, tol=2e-4)
 
 
 @pytest.mark.parametrize("arch,routing", VARIANTS)
@@ -654,18 +676,22 @@ def test_forward_mlm_rows_gradients_match_gathering_after_the_blocks(
         for blk in params.blocks:
             boost_gated_weights(blk)
     tokens = Rng(71).integers(0, cfg.vocab_size, (3, 6))
-    rows = np.array([17, 0, 7, 7, 12, 2])
-    labels = Rng(72).integers(0, cfg.vocab_size, (len(rows),))
+    labels = np.full(tokens.shape, -1)
+    labels.reshape(-1)[[17, 0, 7, 12, 2]] = Rng(72).integers(
+        0, cfg.vocab_size, (5,))
+    rows = T.labeled_rows(labels)
+    table = params.embeddings.token_table
     named = list(params.trainable_parameters())
     grads = []
     for forward in (
-            lambda rng: forward_mlm(tokens, cfg, params, train=True,
-                                    rng=rng, rows=rows),
-            lambda rng: forward_gathering_after_the_blocks(
-                tokens, cfg, params, rows, rng)):
+            lambda rng: forward_mlm(tokens, labels, cfg, params, train=True,
+                                    rng=rng),
+            lambda rng: T.masked_cross_entropy(
+                mlm_head(tokens, cfg, params, rows, train=True, rng=rng),
+                labels.reshape(-1)[rows], table)):
         for _, t in named:
             t.zero_grad()
-        backward(T.masked_cross_entropy(forward(Rng(73)), labels))
+        backward(forward(Rng(73)))
         grads.append([t.grad.copy() for _, t in named])
     for (name, _), got, want in zip(named, *grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, err_msg=name)
@@ -676,8 +702,8 @@ def test_forward_mlm_longer_than_max_len_without_positions():
     params = init_model(cfg, Rng(46))
     tokens = Rng(47).integers(0, cfg.vocab_size, (32,))
     with no_grad():
-        logits = forward_mlm(tokens, cfg, params)
-    assert logits.shape == (32, cfg.vocab_size)
+        loss = forward_mlm(tokens, every_label(tokens), cfg, params)
+    assert np.isfinite(loss.data)
 
 
 def test_forward_mlm_position_table_bounds():
@@ -686,7 +712,7 @@ def test_forward_mlm_position_table_bounds():
     params = init_model(cfg, Rng(48))
     tokens = Rng(49).integers(0, cfg.vocab_size, (9,))
     with pytest.raises(ValueError, match="exceeds"):
-        forward_mlm(tokens, cfg, params)
+        forward_mlm(tokens, every_label(tokens), cfg, params)
 
 
 def test_forward_mlm_position_embeddings_used():
@@ -696,9 +722,11 @@ def test_forward_mlm_position_embeddings_used():
     assert params.embeddings.position_table is not None
     tokens = np.array([5, 5, 5, 5])
     with no_grad():
-        logits = forward_mlm(tokens, cfg, params).data
+        first, second = (float(forward_mlm(tokens, labels, cfg,
+                                           params).data)
+                         for labels in ([5, -1, -1, -1], [-1, 5, -1, -1]))
     # Same token at different positions must differ once positions exist.
-    assert np.max(np.abs(logits[0] - logits[1])) > 1e-9
+    assert abs(first - second) > 1e-9
 
 
 def test_forward_mlm_dropout_replayable():
@@ -706,12 +734,13 @@ def test_forward_mlm_dropout_replayable():
     params = init_model(cfg, Rng(51))
     boost_gated_weights(params.blocks[0])
     tokens = Rng(52).integers(0, cfg.vocab_size, (8,))
+    labels = every_label(tokens)
     with no_grad():
-        a = forward_mlm(tokens, cfg, params, train=True, rng=Rng(99)).data
-        b = forward_mlm(tokens, cfg, params, train=True, rng=Rng(99)).data
-        c = forward_mlm(tokens, cfg, params, train=True, rng=Rng(100)).data
-    np.testing.assert_array_equal(a, b)
-    assert np.max(np.abs(a - c)) > 1e-9
+        a, b, c = (float(forward_mlm(tokens, labels, cfg, params,
+                                     train=True, rng=Rng(seed)).data)
+                   for seed in (99, 99, 100))
+    assert a == b
+    assert abs(a - c) > 1e-9
 
 
 def test_forward_mlm_end_to_end_gradients():
@@ -719,13 +748,9 @@ def test_forward_mlm_end_to_end_gradients():
     params = init_model(cfg, Rng(53))
     tokens = np.array([1, 4, 7, 2])
     labels = np.array([3, -1, 5, -1])
-
-    def f():
-        logits = forward_mlm(tokens, cfg, params)
-        return T.masked_cross_entropy(logits, labels)
-
     names = [(n, t) for n, t in params.trainable_parameters()]
-    check_grads(f, names, tol=2e-4)
+    check_grads(lambda: forward_mlm(tokens, labels, cfg, params), names,
+                tol=2e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -765,13 +790,13 @@ def test_tied_head_shares_storage():
     params = init_model(cfg, Rng(55))
     names = [n for n, _ in params.named_parameters()]
     assert names.count("embeddings.token_table") == 1
-    # Nudging the table must move the logits through the tied decoder.
+    # Nudging the table must move the loss through the tied decoder.
     tokens = np.array([1, 2, 3])
     with no_grad():
-        before = forward_mlm(tokens, cfg, params).data.copy()
+        before = float(forward_mlm(tokens, tokens, cfg, params).data)
         params.embeddings.token_table.data[:, :] *= 1.5
-        after = forward_mlm(tokens, cfg, params).data
-    assert np.max(np.abs(after - before)) > 1e-9
+        after = float(forward_mlm(tokens, tokens, cfg, params).data)
+    assert abs(after - before) > 1e-9
 
 
 def test_named_parameters_stable_order():

@@ -10,6 +10,7 @@ from conftest import (
     finite_difference_grad,
     rel_err,
     traced_peak,
+    unblocked_cross_entropy,
 )
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
@@ -749,301 +750,188 @@ def test_windows_rejects_reads_past_the_end():
 
 
 # ---------------------------------------------------------------------------
-# masked cross-entropy
+# masked cross-entropy on the tied head
+
+
+def tied_head_case(n, n_classes, d, seed=68):
+    rng = Rng(seed)
+    head = rng.normal((n, d))
+    table = rng.normal((n_classes, d), std=0.5)
+    targets = rng.integers(0, n_classes, (n,))
+    targets[0] = n_classes - 1
+    return head, table, targets
 
 
 def test_masked_cross_entropy_matches_manual():
     rng = Rng(61)
-    logits = Tensor(rng.normal((4, 5)), requires_grad=True)
-    labels = np.array([2, -1, 0, 4])
-    loss = nm.masked_cross_entropy(logits, labels)
-    # Manual route via plain numpy softmax.
-    p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    head, table = rng.normal((4, 3)), rng.normal((5, 3))
+    targets = np.array([2, 0, 0, 4])
+    loss = nm.masked_cross_entropy(Tensor(head, requires_grad=True),
+                                   targets, Tensor(table))
+    # Manual route via plain numpy logits and softmax.
+    logits = head @ table.T
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
-    want = -np.mean([np.log(p[0, 2]), np.log(p[2, 0]), np.log(p[3, 4])])
+    want = -np.mean(np.log(p[np.arange(4), targets]))
     assert abs(float(loss.data) - want) < 1e-12
 
 
-def test_masked_cross_entropy_ignores_unlabeled_logits():
-    rng = Rng(62)
-    base = rng.normal((4, 5))
-    labels = np.array([1, -1, -1, 3])
-    a = nm.masked_cross_entropy(Tensor(base), labels)
-    messed = base.copy()
-    messed[1] = 999.0
-    messed[2] = -999.0
-    b = nm.masked_cross_entropy(Tensor(messed), labels)
-    assert float(a.data) == float(b.data)
-
-
-def test_masked_cross_entropy_gradient():
-    rng = Rng(63)
-    logits = leaf(rng, (6, 7))
-    labels = np.array([0, 3, -1, 6, -1, 2])
-
-    def f():
-        return nm.masked_cross_entropy(logits, labels)
-
-    check_grads(f, [("logits", logits)])
-    logits.zero_grad()
-    backward(f())
-    np.testing.assert_array_equal(logits.grad[2], np.zeros(7))
-
-
 def test_masked_cross_entropy_every_row_labeled():
-    # Without unlabeled rows the rule returns its softmax buffer directly;
-    # it must match the same rows embedded among unlabeled ones.
-    rng = Rng(64)
-    logits = leaf(rng, (4, 9))
-    labels = np.array([8, 0, 3, 3])
-
-    def f():
-        return nm.masked_cross_entropy(logits, labels)
-
-    check_grads(f, [("logits", logits)])
-    padded = Tensor(np.concatenate([logits.data, rng.normal((2, 9))]),
-                    requires_grad=True)
-    loss = nm.masked_cross_entropy(padded, np.concatenate([labels, [-1, -1]]))
-    assert float(loss.data) == float(f().data)
-    logits.zero_grad()
-    backward(f())
+    # Every row given is scored: the loss is the mean of the rows' own
+    # losses, and each row's head gradient is its own loss's over n.
+    head, table, targets = tied_head_case(4, 11, 9, seed=64)
+    h = Tensor(head, requires_grad=True)
+    loss = nm.masked_cross_entropy(h, targets, Tensor(table))
     backward(loss)
-    np.testing.assert_allclose(padded.grad[:4], logits.grad, rtol=1e-14,
-                               atol=1e-17)
+    alone = []
+    for i in range(4):
+        row = Tensor(head[i:i + 1], requires_grad=True)
+        one = nm.masked_cross_entropy(row, targets[i:i + 1], Tensor(table))
+        backward(one)
+        alone.append(float(one.data))
+        np.testing.assert_allclose(h.grad[i], row.grad[0] / 4, rtol=1e-13)
+    assert float(loss.data) == pytest.approx(np.mean(alone), rel=1e-14)
 
 
-def unblocked_cross_entropy(logits, labels, g=1.0):
-    """The masked loss and its gradient as one pass over whole arrays,
-    with a shifted copy and a separate gradient buffer. The oracle that
-    ``T.masked_cross_entropy`` must reproduce bit for bit."""
-    sel = np.nonzero(labels >= 0)[0]
-    tgt = labels[sel]
-    picked = np.arange(sel.size)
-    z = logits[sel]
-    z -= z.max(axis=1, keepdims=True)
-    z_tgt = z[picked, tgt]
-    e = np.exp(z)
-    total = e.sum(axis=1)
-    loss = -(z_tgt - np.log(total)).mean()
-    scale = g / sel.size
-    p = e * (scale / total)[:, None]
-    p[picked, tgt] -= scale
-    grad = np.zeros_like(logits)
-    grad[sel] = p
-    return loss, grad
+def test_masked_cross_entropy_gradient(monkeypatch):
+    # Two-row head blocks and one-row passes put five rows through three
+    # GEMMs and five sub-blocks.
+    monkeypatch.setattr(T, "HEAD_BLOCK", 2 * 7)
+    monkeypatch.setattr(T, "CE_BLOCK", 7)
+    rng = Rng(63)
+    head, table = leaf(rng, (5, 4)), leaf(rng, (7, 4))
+    targets = np.array([0, 3, 6, 6, 2])
+    check_grads(lambda: nm.masked_cross_entropy(head, targets, table),
+                [("head", head), ("table", table)])
 
 
 def ce_rows_per_block(n_classes):
     return max(1, T.CE_BLOCK // n_classes)
 
 
+def head_rows_per_block(n_classes):
+    return max(1, T.HEAD_BLOCK // n_classes)
+
+
+def numpy_tied_head(head, table, targets, g):
+    """The loss and the head and table gradients in plain numpy: the
+    logits from one GEMM per ``HEAD_BLOCK`` of rows, then the
+    unblocked formula's loss and logit gradient G, then d_head =
+    G table and d_table = (head^T G)^T."""
+    step = head_rows_per_block(len(table))
+    logits = np.concatenate([np.matmul(head[r0:r0 + step], table.T)
+                             for r0 in range(0, len(head), step)])
+    loss, grad = unblocked_cross_entropy(logits, targets, g)
+    return loss, np.matmul(grad, table), np.matmul(head.T, grad).T
+
+
+def assert_matches_numpy(n, n_classes, d):
+    """Recorded loss and gradients, and the unrecorded loss, against
+    ``numpy_tied_head``, bit for bit."""
+    head, table, targets = tied_head_case(n, n_classes, d)
+    g = 2.5
+    want_loss, want_head, want_table = numpy_tied_head(head, table,
+                                                       targets, g)
+    h = Tensor(head, requires_grad=True)
+    t = Tensor(table, requires_grad=True)
+    loss = nm.masked_cross_entropy(h, targets, t)
+    backward(nm.mul(loss, g))
+    assert float(loss.data) == want_loss
+    np.testing.assert_array_equal(h.grad, want_head)
+    np.testing.assert_array_equal(t.grad, want_table)
+    with no_grad():
+        plain = nm.masked_cross_entropy(h, targets, t)
+    assert plain.node is None and float(plain.data) == want_loss
+    plain = nm.masked_cross_entropy(Tensor(head), targets, Tensor(table))
+    assert float(plain.data) == want_loss
+
+
+# Edges of the CE_BLOCK passes: (rows, classes, head width)
 CE_CASES = {
-    "bert-width": (154, 30522, 0.0),
-    "toy-width": (40, 96, 0.0),
-    "partial-last-block": (2 * ce_rows_per_block(30522) + 1, 30522, 0.0),
-    "partial-last-block-narrow": (ce_rows_per_block(96) + 7, 96, 0.0),
-    "single-row": (1, 30522, 0.0),
-    "scattered-labels": (41, 30522, 0.4),
-    "scattered-labels-narrow": (3 * ce_rows_per_block(96) + 11, 96, 0.4),
+    "bert-width": (154, 30522, 16),
+    "toy-width": (40, 96, 16),
+    "partial-last-block": (2 * ce_rows_per_block(30522) + 1, 30522, 16),
+    "partial-last-block-narrow": (ce_rows_per_block(96) + 7, 96, 16),
+    "single-row": (1, 30522, 16),
 }
 
 
 @pytest.mark.parametrize("case", CE_CASES)
 def test_masked_cross_entropy_matches_unblocked_formula_bit_for_bit(case):
-    n, n_classes, unlabeled = CE_CASES[case]
-    rng = Rng(65)
-    logits = rng.normal((n, n_classes), std=3.0)
-    labels = rng.integers(0, n_classes, (n,))
-    labels[rng.uniform((n,)) < unlabeled] = -1
-    labels[0] = n_classes - 1
-    assert (labels == -1).any() == (unlabeled > 0)
-    g = 2.5
-    want_loss, want_grad = unblocked_cross_entropy(logits, labels, g)
-    x = Tensor(logits, requires_grad=True)
-    loss = nm.masked_cross_entropy(x, labels)
-    backward(nm.mul(loss, g))
-    assert float(loss.data) == want_loss
-    np.testing.assert_array_equal(x.grad, want_grad)
-    with no_grad():
-        plain = nm.masked_cross_entropy(x, labels)
-    assert plain.node is None and float(plain.data) == want_loss
-    assert float(nm.masked_cross_entropy(Tensor(logits), labels).data) \
-        == want_loss
+    assert_matches_numpy(*CE_CASES[case])
 
 
-@pytest.mark.parametrize("every_row", [True, False])
-def test_masked_cross_entropy_without_tape_stays_below_one_buffer(every_row):
-    rng = Rng(66)
-    n, n_classes = 154, 30522
-    logits = Tensor(rng.normal((n, n_classes)), requires_grad=True)
-    labels = rng.integers(0, n_classes, (n,))
-    if not every_row:
-        labels[::5] = -1
-    buffer = (labels >= 0).sum() * n_classes * 8
-    peaks = []
-    # Under no_grad, and logits that need no gradient with the tape on.
-    for x, context in ((logits, no_grad), (Tensor(logits.data), nullcontext)):
-        def run():
-            with context():
-                nm.masked_cross_entropy(x, labels)
-
-        peaks.append(traced_peak(run))
-    assert max(peaks) < buffer / 8, (peaks, buffer)
-
-
-def test_masked_cross_entropy_second_backward_raises():
-    rng = Rng(67)
-    logits = leaf(rng, (5, 7))
-    loss = nm.masked_cross_entropy(logits, np.array([1, -1, 6, 0, 2]))
-    backward(loss)
-    first = logits.grad.copy()
-    with pytest.raises(RuntimeError, match="backward already ran") as info:
-        backward(loss)
-    assert "\n" not in str(info.value)
-    np.testing.assert_array_equal(logits.grad, first)
-
-
-@pytest.mark.parametrize("labels, message", [
-    (np.array([1, -2, 0]), "class ids or -1 \\(unlabeled\\), got -2"),
-    (np.array([1, -1, -7]), "got -7"),
-    (np.array([1.0, -1.0, 0.0]), "labels must be integers, got dtype float64"),
-    (np.array([True, False, True]), "labels must be integers, got dtype bool"),
-], ids=["minus-two", "minus-seven", "float", "bool"])
-def test_masked_cross_entropy_rejects_bad_labels(labels, message):
-    with pytest.raises(ValueError, match=message) as info:
-        nm.masked_cross_entropy(Tensor(np.zeros((3, 4))), labels)
-    assert "\n" not in str(info.value)
-
-
-def test_masked_cross_entropy_requires_labels():
-    with pytest.raises(ValueError, match="no labeled"):
-        nm.masked_cross_entropy(Tensor(np.zeros((2, 3))),
-                                np.array([-1, -1]))
-
-
-def test_uniform_logits_give_log_vocab():
-    loss = nm.masked_cross_entropy(Tensor(np.zeros((3, 50))),
-                                   np.array([0, 10, 49]))
-    assert abs(float(loss.data) - np.log(50)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# masked cross-entropy on the tied head
-
-
-def head_rows_per_block(n_classes):
-    return max(1, T.HEAD_BLOCK // n_classes)
-
-
-# (labeled and unlabeled rows, classes, head width, unlabeled share)
+# Edges of the HEAD_BLOCK GEMMs: (rows, classes, head width)
 HEAD_CASES = {
-    "bert-width": (154, 30522, 64, 0.0),
-    "toy-width": (40, 96, 64, 0.0),
-    "partial-last-block": (2 * ce_rows_per_block(30522) + 1, 30522, 16, 0.0),
-    "partial-last-head-block": (head_rows_per_block(30522) + 5, 30522, 16,
-                                0.0),
-    "scattered-labels": (41, 30522, 16, 0.4),
-    "scattered-labels-narrow": (3 * ce_rows_per_block(96) + 11, 96, 16, 0.4),
+    "bert-width": (154, 30522, 64),
+    "toy-width": (40, 96, 64),
+    "partial-last-block": (2 * ce_rows_per_block(30522) + 1, 30522, 16),
+    "partial-last-head-block": (head_rows_per_block(30522) + 5, 30522, 16),
 }
-
-
-def tied_head_case(case, seed=68):
-    n, n_classes, d, unlabeled = HEAD_CASES[case]
-    rng = Rng(seed)
-    head = rng.normal((n, d))
-    table = rng.normal((n_classes, d), std=0.5)
-    labels = rng.integers(0, n_classes, (n,))
-    labels[rng.uniform((n,)) < unlabeled] = -1
-    labels[0] = n_classes - 1
-    assert (labels == -1).any() == (unlabeled > 0)
-    return head, table, labels
-
-
-def tied_head_run(head, table, labels, fused, g=2.5):
-    """Loss, head and table gradients, and the no_grad loss, of the op
-    given the table (fused) or given the logits of matmul and
-    transpose."""
-    h = Tensor(head, requires_grad=True)
-    t = Tensor(table, requires_grad=True)
-
-    def loss():
-        if fused:
-            return nm.masked_cross_entropy(h, labels, t)
-        return nm.masked_cross_entropy(nm.matmul(h, nm.transpose(t)),
-                                       labels)
-
-    value = loss()
-    backward(nm.mul(value, g))
-    with no_grad():
-        plain = loss()
-    assert plain.node is None
-    return float(value.data), h.grad, t.grad, float(plain.data)
 
 
 @pytest.mark.parametrize("case", HEAD_CASES)
 def test_tied_head_cross_entropy_matches_matmul_then_loss_bit_for_bit(case):
-    head, table, labels = tied_head_case(case)
-    want = tied_head_run(head, table, labels, fused=False)
-    got = tied_head_run(head, table, labels, fused=True)
-    assert got[0] == want[0]
-    np.testing.assert_array_equal(got[1], want[1])
-    np.testing.assert_array_equal(got[2], want[2])
-    if (labels >= 0).sum() <= head_rows_per_block(len(table)):
-        assert got[3] == want[3]
-    else:
-        # One GEMM per head block may round a row's logits differently
-        # from one GEMM over every row, so the unrecorded loss is held
-        # to an ulp here (it has matched bit for bit on OpenBLAS).
-        assert abs(got[3] - want[3]) <= np.spacing(want[3]), got[3] - want[3]
+    # bert-width spans three head blocks, so the recorded and unrecorded
+    # losses agree bit for bit across blocks too.
+    assert_matches_numpy(*HEAD_CASES[case])
 
 
 def test_tied_head_cross_entropy_gradients():
     rng = Rng(69)
     head = leaf(rng, (6, 5))
     table = leaf(rng, (7, 5))
-    labels = np.array([0, 3, -1, 6, -1, 2])
+    targets = np.array([0, 3, 4, 6, 6, 2])
+    check_grads(lambda: nm.masked_cross_entropy(head, targets, table),
+                [("head", head), ("table", table)])
 
-    def f():
-        return nm.masked_cross_entropy(head, labels, table)
 
-    check_grads(f, [("head", head), ("table", table)])
-    head.zero_grad()
-    backward(f())
-    np.testing.assert_array_equal(head.grad[[2, 4]], np.zeros((2, 5)))
+@pytest.mark.parametrize("needs_grad", [True, False])
+def test_masked_cross_entropy_without_tape_stays_below_one_buffer(needs_grad):
+    # Under no_grad, and with inputs that need no gradient on the tape,
+    # one head block's scratch (68 of 154 rows) is all that is held.
+    head, table, targets = tied_head_case(154, 30522, 64, seed=66)
+    buffer = head.shape[0] * table.shape[0] * 8
+    h = Tensor(head, requires_grad=needs_grad)
+    t = Tensor(table, requires_grad=needs_grad)
+
+    def run():
+        with no_grad() if needs_grad else nullcontext():
+            nm.masked_cross_entropy(h, targets, t)
+
+    assert traced_peak(run) < buffer / 2, buffer
 
 
 def test_tied_head_cross_entropy_holds_one_vocabulary_wide_buffer():
-    head, table, labels = tied_head_case("bert-width")
+    head, table, targets = tied_head_case(154, 30522, 64)
     buffer = head.shape[0] * table.shape[0] * 8
     assert head_rows_per_block(table.shape[0]) < head.shape[0]
     h = Tensor(head, requires_grad=True)
     t = Tensor(table, requires_grad=True)
     kept = []
+    peak = traced_peak(
+        lambda: kept.append(nm.masked_cross_entropy(h, targets, t)))
+    assert buffer < peak < 1.1 * buffer, (peak, buffer)
 
-    def recorded(fused):
-        def run():
-            if fused:
-                kept.append(nm.masked_cross_entropy(h, labels, t))
-            else:
-                kept.append(nm.masked_cross_entropy(
-                    nm.matmul(h, nm.transpose(t)), labels))
-        return run
 
-    def evaluated():
-        with no_grad():
-            nm.masked_cross_entropy(h, labels, t)
-
-    # matmul's logits and the loss's buffer are two such arrays.
-    assert traced_peak(recorded(fused=False)) > 2 * buffer
-    kept.clear()
-    assert traced_peak(recorded(fused=True)) < 1.1 * buffer
-    assert traced_peak(evaluated) < buffer
+def test_masked_cross_entropy_second_backward_raises():
+    # Only the head needs a gradient; the node still spends its buffer.
+    rng = Rng(67)
+    head, table = leaf(rng, (5, 7)), Tensor(rng.normal((4, 7)))
+    loss = nm.masked_cross_entropy(head, np.array([1, 3, 2, 0, 2]), table)
+    backward(loss)
+    first = head.grad.copy()
+    with pytest.raises(RuntimeError, match="backward already ran") as info:
+        backward(loss)
+    assert "\n" not in str(info.value)
+    np.testing.assert_array_equal(head.grad, first)
+    assert table.grad is None
 
 
 def test_tied_head_cross_entropy_second_backward_raises():
     rng = Rng(70)
     head, table = leaf(rng, (5, 3)), leaf(rng, (7, 3))
-    loss = nm.masked_cross_entropy(head, np.array([1, -1, 6, 0, 2]), table)
+    loss = nm.masked_cross_entropy(head, np.array([1, 5, 6, 0, 2]), table)
     backward(loss)
     first = head.grad.copy(), table.grad.copy()
     with pytest.raises(RuntimeError, match="backward already ran") as info:
@@ -1051,6 +939,39 @@ def test_tied_head_cross_entropy_second_backward_raises():
     assert "\n" not in str(info.value)
     np.testing.assert_array_equal(head.grad, first[0])
     np.testing.assert_array_equal(table.grad, first[1])
+
+
+@pytest.mark.parametrize("targets, message", [
+    (np.array([1, -1, 0]), "class ids in \\[0, 4\\), got -1"),
+    (np.array([1, -2, 0]), "class ids in \\[0, 4\\), got -2"),
+    (np.array([1, 0, -7]), "got -7"),
+    (np.array([1, 4, 0]), "class ids in \\[0, 4\\), got 4"),
+    (np.array([1.0, 2.0, 0.0]), "targets must be integers, got dtype float64"),
+    (np.array([True, False, True]), "targets must be integers, got dtype bool"),
+], ids=["minus-one", "minus-two", "minus-seven", "n-classes", "float",
+        "bool"])
+def test_masked_cross_entropy_rejects_bad_labels(targets, message):
+    with pytest.raises(ValueError, match=message) as info:
+        nm.masked_cross_entropy(Tensor(np.zeros((3, 2))), targets,
+                                Tensor(np.zeros((4, 2))))
+    assert "\n" not in str(info.value)
+
+
+def test_masked_cross_entropy_requires_labels():
+    with pytest.raises(ValueError, match="no rows to score"):
+        nm.masked_cross_entropy(Tensor(np.zeros((0, 3))),
+                                np.zeros(0, dtype=np.int64),
+                                Tensor(np.zeros((5, 3))))
+    with pytest.raises(ValueError, match="does not match head rows 2"):
+        nm.masked_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]),
+                                Tensor(np.zeros((5, 3))))
+
+
+def test_uniform_logits_give_log_vocab():
+    loss = nm.masked_cross_entropy(Tensor(np.zeros((3, 4))),
+                                   np.array([0, 10, 49]),
+                                   Tensor(np.ones((50, 4))))
+    assert abs(float(loss.data) - np.log(50)) < 1e-12
 
 
 def test_tied_head_cross_entropy_rejects_a_table_of_another_width():

@@ -8,7 +8,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import count_nodes, traced_peak
+from conftest import (
+    mlm_head,
+    tape_nodes,
+    traced_peak,
+    unblocked_cross_entropy,
+)
 
 import gatedssm.numerics.tensor as T
 import gatedssm.pretrain.trainer as trainer
@@ -35,7 +40,7 @@ from gatedssm.pretrain import (
     train_mlm,
 )
 from gatedssm.pretrain.optim import AdamW
-from gatedssm.pretrain.trainer import _batch_indices, _batch_loss
+from gatedssm.pretrain.trainer import _batch_indices
 
 VOCAB = 60
 
@@ -611,7 +616,7 @@ def test_eval_and_training_reject_labels_below_minus_one(bad):
     with pytest.raises(ValueError, match=message):
         eval_mlm(cfg, params, ids, labels, batch_size=4)
     with pytest.raises(ValueError, match=message):
-        _batch_loss(cfg, params, ids, labels, train=True, rng=Rng(1))
+        forward_mlm(ids, labels, cfg, params, train=True, rng=Rng(1))
 
 
 def test_eval_rejects_float_labels():
@@ -636,18 +641,28 @@ def test_eval_rejects_nonpositive_batch_size(batch_size, monkeypatch):
     assert calls == []
 
 
-def full_logits_loss(cfg, params, ids, labels, *, train, rng):
-    """The head on every position, then the masked loss: the oracle for
-    `_batch_loss`, which runs the head on labeled positions only."""
-    logits = forward_mlm(ids, cfg, params, train=train, rng=rng)
-    flat = T.reshape(logits, (labels.size, cfg.vocab_size))
-    return T.masked_cross_entropy(flat, labels.reshape(-1))
+def full_logits_loss(ids, labels, cfg, params, *, train, rng):
+    """The oracle for `forward_mlm`, which runs the head on labeled
+    positions only: the head on every position by composition, the tied
+    logits from `matmul`, and the masked loss and its logit gradient G
+    in plain numpy. The returned tensor carries the numpy loss as its
+    value and backpropagates G: it is sum(logits * G) shifted by a
+    constant."""
+    head = mlm_head(ids, cfg, params, train=train, rng=rng)
+    logits = T.matmul(head, T.transpose(params.embeddings.token_table))
+    rows = T.labeled_rows(labels)
+    loss, g_rows = unblocked_cross_entropy(logits.data[rows],
+                                           labels.reshape(-1)[rows])
+    g = np.zeros(logits.shape)
+    g[rows] = g_rows
+    surrogate = T.tsum(T.mul(logits, g))
+    return T.add(surrogate, float(loss - surrogate.data))
 
 
 def loss_and_grads(loss_fn, cfg, params, ids, labels):
     for _, t in params.trainable_parameters():
         t.zero_grad()
-    loss = loss_fn(cfg, params, ids, labels, train=True, rng=Rng(12))
+    loss = loss_fn(ids, labels, cfg, params, train=True, rng=Rng(12))
     backward(loss)
     return float(loss.data), {n: t.grad.copy()
                               for n, t in params.trainable_parameters()}
@@ -662,7 +677,7 @@ def test_batch_loss_matches_full_logits(arch, routing):
     ids, labels = toy_data(4, seed=12)
     want, want_grads = loss_and_grads(full_logits_loss, cfg, params, ids,
                                       labels)
-    got, got_grads = loss_and_grads(_batch_loss, cfg, params, ids, labels)
+    got, got_grads = loss_and_grads(forward_mlm, cfg, params, ids, labels)
     assert abs(got - want) <= 1e-12 * abs(want)
     for name, g in want_grads.items():
         err = np.max(np.abs(got_grads[name] - g))
@@ -674,8 +689,7 @@ def test_batch_loss_without_labels_raises():
     params = init_model(cfg, Rng(22))
     ids, labels = toy_data(2, seed=13)
     with pytest.raises(ValueError, match="no labeled positions"):
-        _batch_loss(cfg, params, ids, np.full_like(labels, -1),
-                    train=False, rng=None)
+        forward_mlm(ids, np.full_like(labels, -1), cfg, params)
 
 
 def test_one_forward_per_batch(tmp_path, monkeypatch):
@@ -718,23 +732,26 @@ def test_eval_holds_no_vocabulary_wide_array():
     peak = traced_peak(lambda: eval_mlm(cfg, params, ids, labels,
                                         batch_size=4))
     assert peak < buffer, (peak, buffer)
-    # The logits of the same rows are one such array.
+    # A recorded loss keeps one such array for its backward. It runs the
+    # same GEMMs and passes, so its value is the unrecorded one's bits.
+    kept = []
+    assert traced_peak(lambda: kept.append(
+        forward_mlm(ids, labels, cfg, params))) > buffer
     with no_grad():
-        assert traced_peak(lambda: forward_mlm(ids, cfg, params,
-                                               rows=rows)) > buffer
+        evaluated = forward_mlm(ids, labels, cfg, params)
+    assert float(kept[0].data) == float(evaluated.data)
 
 
-def test_training_step_records_two_fewer_tape_nodes():
-    # The loss forms the tied head's logits itself, so the matmul and
-    # the transpose of the token table are no longer on the tape.
+def test_training_step_records_one_loss_node_and_no_table_product():
+    # The loss forms the tied head's logits itself, so no matmul or
+    # transpose of the token table is on the tape.
     cfg, params, ids, labels = bert_vocab_case(25)
-    rows = T.labeled_rows(labels)
-    fused = _batch_loss(cfg, params, ids, labels, train=True, rng=Rng(1))
-    logits = forward_mlm(ids, cfg, params, train=True, rng=Rng(1),
-                         rows=rows)
-    apart = T.masked_cross_entropy(logits, labels.reshape(-1)[rows])
-    assert count_nodes(fused) == count_nodes(apart) - 2
-    assert float(fused.data) == float(apart.data)
+    table = params.embeddings.token_table
+    nodes = tape_nodes(forward_mlm(ids, labels, cfg, params, train=True,
+                                   rng=Rng(1)))
+    assert [n.op for n in nodes].count("masked_cross_entropy") == 1
+    assert not any(n.op in ("matmul", "transpose")
+                   and any(t is table for t in n.inputs) for n in nodes)
 
 
 def test_later_steps_peak_no_higher_than_the_first(tmp_path):
