@@ -3,8 +3,11 @@
 The manifest lists every named array with its shape and byte offset into
 the buffer file; the buffer is the concatenation of the arrays as
 little-endian 64-bit floats. A free-form `meta` dict (JSON-safe values
-only) rides along in the manifest. Round-trips are bit-exact, and writes
-go through a temporary name so a crash never leaves a torn checkpoint.
+only) rides along in the manifest. Round-trips are bit-exact. Each file
+is written under a temporary name and renamed, so neither is ever torn,
+but the pair is not replaced as one: a crash between the two renames
+leaves the new buffer beside the old manifest, which loads without
+error when the sizes match.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ _ITEMSIZE = np.dtype(_DTYPE).itemsize
 def save_checkpoint(directory: str,
                     entries: Iterable[Tuple[str, np.ndarray]],
                     meta: dict | None = None) -> None:
-    """Write named arrays and metadata to `directory`, atomically."""
+    """Write named arrays and metadata to `directory`: the buffer, then
+    the manifest, each replaced whole (see the module docstring)."""
     os.makedirs(directory, exist_ok=True)
     manifest_entries = []
     arrays = []
@@ -35,7 +39,6 @@ def save_checkpoint(directory: str,
         if name in seen:
             raise ValueError(f"duplicate checkpoint entry {name!r}")
         seen.add(name)
-        arr = getattr(arr, "data", arr)   # accept Tensor or ndarray
         # A view of the caller's array when it is already contiguous
         # little-endian float64; the bytes are written from its buffer.
         data = np.ascontiguousarray(arr, dtype=_DTYPE)
@@ -110,24 +113,25 @@ def load_checkpoint(directory: str) -> Tuple[Dict[str, np.ndarray], dict]:
     return out, manifest.get("meta", {})
 
 
-def load_into(named_tensors: Iterable[Tuple[str, object]],
+def load_into(targets: Iterable[Tuple[str, np.ndarray]],
               entries: Dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into live tensors in place, by name.
+    """Copy loaded arrays into `targets`, (name, array) pairs, in place.
 
-    Every tensor must have an entry and every entry a tensor, and the
-    shapes must match.
+    Every target must have an entry of its shape and every entry a
+    target. All of that is checked before the first copy, so a load
+    that fails changes nothing.
     """
-    remaining = dict(entries)
-    for name, tensor in named_tensors:
-        if name not in remaining:
+    targets = list(targets)
+    for name, arr in targets:
+        if name not in entries:
             raise KeyError(f"checkpoint is missing entry {name!r}")
-        value = remaining.pop(name)
-        if tuple(value.shape) != tuple(tensor.data.shape):
+        if entries[name].shape != arr.shape:
             raise ValueError(
                 f"shape mismatch for {name!r}: checkpoint "
-                f"{tuple(value.shape)}, model {tuple(tensor.data.shape)}"
+                f"{entries[name].shape}, model {arr.shape}"
             )
-        tensor.data[...] = value
-    if remaining:
-        extra = sorted(remaining)[:5]
-        raise KeyError(f"checkpoint has unused entries: {extra}")
+    unused = set(entries).difference(name for name, _ in targets)
+    if unused:
+        raise KeyError(f"checkpoint has unused entries: {sorted(unused)[:5]}")
+    for name, arr in targets:
+        arr[...] = entries[name]

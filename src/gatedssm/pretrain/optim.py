@@ -134,35 +134,12 @@ class AdamW:
                 x -= tmp
 
     def state_entries(self) -> Iterable[Tuple[str, np.ndarray]]:
-        """Moment buffers as named arrays for checkpointing."""
+        """Moment buffers as named arrays, views of the flat buffers:
+        a checkpoint saves them and `checkpoint.load_into` fills them."""
         for name, _ in self.params:
             yield f"adam_m.{name}", self.m[name]
         for name, _ in self.params:
             yield f"adam_v.{name}", self.v[name]
-
-    def load_state(self, entries: Dict[str, np.ndarray],
-                   step_count: int) -> None:
-        """Copy saved moments in place; every entry of `entries` must be
-        one of `state_entries`, with its shape, and none may be missing.
-        Nothing is changed unless all of them check out."""
-        if step_count < 0:
-            raise ValueError(f"optimizer step count {step_count} is "
-                             f"negative")
-        own = dict(self.state_entries())
-        for key, buf in own.items():
-            if key not in entries:
-                raise ValueError(f"optimizer state is missing entry {key!r}")
-            if np.shape(entries[key]) != buf.shape:
-                raise ValueError(
-                    f"optimizer state entry {key!r} has shape "
-                    f"{np.shape(entries[key])}, its parameter {buf.shape}")
-        unknown = [key for key in entries if key not in own]
-        if unknown:
-            raise ValueError(f"optimizer state has unknown entry "
-                             f"{unknown[0]!r}")
-        for key, buf in own.items():
-            buf[...] = entries[key]
-        self.step_count = step_count
 
 
 def cosine_warmup_lr(step: int, total_steps: int, warmup_frac: float,

@@ -73,13 +73,12 @@ class TrainConfig:
 # shard preparation
 
 
-def chunk_corpus(lines, vocab: Vocab, seq_len: int) -> np.ndarray:
-    """Encode documents (lines of text, or a `TokenizedCorpus` of them)
-    and cut each into fixed-length rows, PAD on the tail of a
-    document's last chunk. Returns (n_chunks, seq_len) ids."""
+def chunk_corpus(corpus: TokenizedCorpus, vocab: Vocab,
+                 seq_len: int) -> np.ndarray:
+    """Encode documents and cut each into fixed-length rows, PAD on the
+    tail of a document's last chunk. Returns (n_chunks, seq_len) ids."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    corpus = TokenizedCorpus.of(lines)
     ids = np.array(vocab.encode(corpus.types), dtype=np.int64)[corpus.ids]
     lengths = corpus.lengths
     doc_rows = -(-lengths // seq_len)
@@ -130,7 +129,8 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     floor(i * holdout_fraction) steps up, so it holds the asked fraction
     of the chunks to within one, spread evenly over the corpus; the
     rest go to one train shard, `train-0000.bin`. Shard contents are a
-    pure function of (corpus bytes, seed, sizes). Bad options, an empty
+    pure function of (corpus bytes, seed, sizes), and `stats` is
+    `masking_stats` of both shards together. Bad options, an empty
     corpus or one without tokens raise before `out_dir` is created.
     """
     options = dict(vocab_size=vocab_size, seq_len=seq_len, seed=seed,
@@ -160,7 +160,7 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
     splits = {"heldout": chunks[held_sel], "train": chunks[~held_sel]}
 
     paths: Dict[str, List[str]] = {"train": [], "heldout": []}
-    stats_all = []
+    masked = []
     for split, rows in splits.items():
         if not len(rows):
             continue
@@ -170,20 +170,17 @@ def prepare_shards(corpus_path: str, out_dir: str, *, vocab_size: int,
         path = os.path.join(out_dir, name)
         write_shard(path, ids, labels)
         paths[split].append(path)
-        stats_all.append(masking_stats(ids, labels))
+        masked.append((ids, labels))
 
-    agg = {key: sum(s[key] for s in stats_all)
-           for key in ("maskable_positions", "selected", "masked",
-                       "randomized", "kept")}
-    agg["selected_fraction"] = (
-        agg["selected"] / max(agg["maskable_positions"], 1))
+    all_ids, all_labels = zip(*masked)
     return {
         "vocab_path": os.path.join(out_dir, "vocab.txt"),
         "vocab_size": len(vocab),
         "n_chunks": int(len(chunks)),
         "train_paths": paths["train"],
         "heldout_paths": paths["heldout"],
-        "stats": agg,
+        "stats": masking_stats(np.concatenate(all_ids),
+                               np.concatenate(all_labels)),
     }
 
 
@@ -254,10 +251,12 @@ def _batch_indices(seed: int, step: int, batch_size: int,
 
 
 def _checkpoint_entries(params: ModelParams, optimizer: AdamW):
+    """A run's state as (name, array) pairs: the parameters, then the
+    optimizer's moments. Saving writes these arrays and loading fills
+    them in place."""
     for name, t in params.named_parameters():
         yield name, t.data
-    for name, arr in optimizer.state_entries():
-        yield name, arr
+    yield from optimizer.state_entries()
 
 
 def save_run_checkpoint(directory: str, params: ModelParams,
@@ -345,15 +344,14 @@ def load_run_checkpoint(directory: str):
         if value != want:
             raise ValueError(f"checkpoint train_config key {key!r} is "
                              f"{value!r}; training now takes {want!r}")
+    # The optimizer takes over the parameters' storage, so one load
+    # writes every parameter and moment straight into its buffers.
     params = init_model(cfg, _ZeroDraws())
-    model_entries = {k: v for k, v in entries.items()
-                     if not k.startswith(("adam_m.", "adam_v."))}
-    load_into(params.named_parameters(), model_entries)
     optimizer = AdamW(params.trainable_parameters())
-    adam_entries = {k: v for k, v in entries.items()
-                    if k.startswith(("adam_m.", "adam_v."))}
-    if adam_entries:
-        optimizer.load_state(adam_entries, meta.get("optimizer_steps", 0))
+    load_into(_checkpoint_entries(params, optimizer), entries)
+    steps = {"optimizer_steps": meta.get("optimizer_steps")}
+    check_integer_fields(steps, {"optimizer_steps": 0})
+    optimizer.step_count = steps["optimizer_steps"]
     return params, optimizer, meta
 
 

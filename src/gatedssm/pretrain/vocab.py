@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from itertools import repeat
-from typing import Iterable, List, Union
+from typing import Iterable, List
 
 import numpy as np
 
@@ -74,17 +74,10 @@ class TokenizedCorpus:
         self.ids = np.frombuffer(flat, dtype=np.int64)
         self.lengths = np.array(lengths, dtype=np.int64)
 
-    @classmethod
-    def of(cls, lines: Union["TokenizedCorpus", Iterable[str]]
-           ) -> "TokenizedCorpus":
-        return lines if isinstance(lines, cls) else cls(lines)
 
-
-def build_vocab(lines: Union[TokenizedCorpus, Iterable[str]],
-                max_size: int) -> Vocab:
+def build_vocab(corpus: TokenizedCorpus, max_size: int) -> Vocab:
     """Frequency-ranked vocabulary over whitespace tokens.
 
-    `lines` are documents of text, or a `TokenizedCorpus` of them.
     Ties break lexicographically so the result is deterministic for a
     given corpus regardless of line order. `max_size` bounds the total
     size including the special tokens.
@@ -93,7 +86,6 @@ def build_vocab(lines: Union[TokenizedCorpus, Iterable[str]],
         raise ValueError(
             f"max_size must exceed the {N_SPECIAL} special tokens"
         )
-    corpus = TokenizedCorpus.of(lines)
     types = corpus.types
     if not types:
         raise ValueError("corpus is empty")

@@ -111,7 +111,8 @@ def test_model_round_trip_restores_forward(tmp_path):
     with no_grad():
         want = float(forward_mlm(tokens, tokens, cfg, params).data)
 
-    save_checkpoint(str(tmp_path), list(params.named_parameters()),
+    save_checkpoint(str(tmp_path),
+                    [(n, t.data) for n, t in params.named_parameters()],
                     meta={"step": 0})
 
     fresh = init_model(cfg, Rng(77))
@@ -120,24 +121,35 @@ def test_model_round_trip_restores_forward(tmp_path):
     assert abs(before - want) > 1e-6
 
     loaded, _ = load_checkpoint(str(tmp_path))
-    load_into(fresh.named_parameters(), loaded)
+    load_into(((n, t.data) for n, t in fresh.named_parameters()), loaded)
     with no_grad():
         after = float(forward_mlm(tokens, tokens, cfg, fresh).data)
     assert after == want
 
 
 def test_load_into_strictness():
-    import gatedssm.numerics.tensor as T
-
-    t = T.Tensor(np.zeros((2, 2)))
-    with pytest.raises(KeyError, match="missing"):
-        load_into([("w", t)], {})
-    with pytest.raises(ValueError, match="shape"):
-        load_into([("w", t)], {"w": np.zeros(3)})
-    with pytest.raises(KeyError, match="unused"):
-        load_into([("w", t)], {"w": np.zeros((2, 2)),
-                               "stray": np.zeros(1)})
-
+    # Every bad entry is caught before the first copy, so no target moves.
+    targets = [("a", np.zeros(3)), ("b", np.zeros(())),
+               ("c", np.zeros((2, 2)))]
+    good = {name: np.ones(arr.shape) for name, arr in targets}
+    cases = [
+        (KeyError, "missing entry 'c'",
+         {k: v for k, v in good.items() if k != "c"}),
+        (ValueError,
+         r"shape mismatch for 'c': checkpoint \(4,\), model \(2, 2\)",
+         {**good, "c": np.ones(4)}),
+        (KeyError, r"unused entries: \['stray'\]",
+         {**good, "stray": np.ones(1)}),
+    ]
+    for error, message, entries in cases:
+        with pytest.raises(error, match=message) as err:
+            load_into(targets, entries)
+        assert "\n" not in str(err.value)
+        for name, arr in targets:
+            np.testing.assert_array_equal(arr, 0.0, err_msg=name)
+    load_into(targets, good)
+    for name, arr in targets:
+        np.testing.assert_array_equal(arr, 1.0, err_msg=name)
 
 
 @pytest.mark.parametrize("name,fields,message", [

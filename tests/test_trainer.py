@@ -41,6 +41,7 @@ from gatedssm.pretrain import (
 )
 from gatedssm.pretrain.optim import AdamW
 from gatedssm.pretrain.trainer import _batch_indices
+from gatedssm.pretrain.vocab import TokenizedCorpus
 
 VOCAB = 60
 
@@ -63,16 +64,18 @@ def toy_data(n_rows: int, seq_len: int = 16, seed: int = 0):
 
 
 def test_chunk_corpus_pads_tail():
-    v = build_vocab(["a b c d e f g h i j"], max_size=32)
-    rows = chunk_corpus(["a b c d e f g h i j"], v, seq_len=4)
+    corpus = TokenizedCorpus(["a b c d e f g h i j"])
+    v = build_vocab(corpus, max_size=32)
+    rows = chunk_corpus(corpus, v, seq_len=4)
     assert rows.shape == (3, 4)
     assert np.all(rows[:2] >= N_SPECIAL)
     assert list(rows[2, 2:]) == [0, 0]
 
 
 def test_chunk_corpus_does_not_mix_documents():
-    v = build_vocab(["a b c", "d e"], max_size=32)
-    rows = chunk_corpus(["a b c", "d e"], v, seq_len=4)
+    corpus = TokenizedCorpus(["a b c", "d e"])
+    v = build_vocab(corpus, max_size=32)
+    rows = chunk_corpus(corpus, v, seq_len=4)
     assert rows.shape == (2, 4)
     assert rows[0, 3] == 0 and np.all(rows[1, 2:] == 0)
 
@@ -98,8 +101,9 @@ def _reference_chunks(lines, vocab, seq_len):
         "longer-than-docs"])
 def test_chunk_corpus_matches_per_token_oracle(lines, seq_len):
     # The vocabulary leaves out some words, which encode to UNK.
-    vocab = build_vocab(["a a b b c d e f g h i j k l m"], max_size=9)
-    got = chunk_corpus(lines, vocab, seq_len)
+    vocab = build_vocab(TokenizedCorpus(["a a b b c d e f g h i j k l m"]),
+                        max_size=9)
+    got = chunk_corpus(TokenizedCorpus(lines), vocab, seq_len)
     assert got.dtype == np.int64
     assert np.array_equal(got, _reference_chunks(lines, vocab, seq_len))
 
@@ -109,18 +113,19 @@ def test_chunk_corpus_matches_oracle_on_generated_corpus(tmp_path):
     generate_corpus(path, n_docs=30, doc_len=100, n_words=300, seed=2)
     with open(path, encoding="utf-8") as f:
         lines = [line.rstrip("\n") for line in f]
-    vocab = build_vocab(lines, 200)
+    corpus = TokenizedCorpus(lines)
+    vocab = build_vocab(corpus, 200)
     for seq_len in (7, 50, 100, 128):
-        assert np.array_equal(chunk_corpus(lines, vocab, seq_len),
+        assert np.array_equal(chunk_corpus(corpus, vocab, seq_len),
                               _reference_chunks(lines, vocab, seq_len))
 
 
 def test_chunk_corpus_rejects_bad_input():
-    vocab = build_vocab(["a b"], max_size=8)
+    vocab = build_vocab(TokenizedCorpus(["a b"]), max_size=8)
     with pytest.raises(ValueError, match="seq_len"):
-        chunk_corpus(["a b"], vocab, 0)
+        chunk_corpus(TokenizedCorpus(["a b"]), vocab, 0)
     with pytest.raises(ValueError, match="no token chunks"):
-        chunk_corpus(["", " "], vocab, 4)
+        chunk_corpus(TokenizedCorpus(["", " "]), vocab, 4)
 
 
 def test_masking_stats_hand_example():
@@ -166,6 +171,15 @@ def test_prepare_shards_outputs_and_determinism(tmp_path):
     # Holdout takes every 10th chunk by default.
     assert len(h_ids) == pytest.approx(info["n_chunks"] / 10, abs=1)
     assert labels.max() >= N_SPECIAL
+
+
+def test_prepare_shards_stats_are_masking_stats_of_both_shards(tmp_path):
+    corpus = str(tmp_path / "corpus.txt")
+    generate_corpus(corpus, n_docs=30, doc_len=120, n_words=48, seed=9)
+    info = prepare_shards(corpus, str(tmp_path / "out"), vocab_size=64,
+                          seq_len=16, seed=5, holdout_fraction=0.3)
+    ids, labels = load_split(info["train_paths"] + info["heldout_paths"])
+    assert info["stats"] == masking_stats(ids, labels)
 
 
 def test_prepare_shards_different_seed_differs(tmp_path):
@@ -573,8 +587,41 @@ def test_load_run_checkpoint_rejects_a_misshapen_moment(tmp_path):
     edited = str(tmp_path / "edited")
     save_checkpoint(edited, entries.items(), meta=meta)
     with pytest.raises(ValueError, match=re.escape(
-            f"optimizer state entry {name!r} has shape (1,)")):
+            f"shape mismatch for {name!r}: checkpoint (1,)")):
         load_run_checkpoint(edited)
+
+
+def test_load_run_checkpoint_refuses_a_checkpoint_without_moments(
+        tmp_path):
+    ckpt = checkpointed_toy_run(tmp_path)
+    entries, meta = load_checkpoint(ckpt)
+    edited = str(tmp_path / "edited")
+    save_checkpoint(edited, [(k, a) for k, a in entries.items()
+                             if not k.startswith("adam_")], meta=meta)
+    with pytest.raises(KeyError, match="checkpoint is missing entry "
+                                       "'adam_m.embeddings.token_table'"
+                       ) as err:
+        load_run_checkpoint(edited)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("value,message", [
+    (-1, "optimizer_steps must be at least 0, got -1"),
+    (2.5, "optimizer_steps must be an integer, got 2.5"),
+    (True, "optimizer_steps must be an integer, got True"),
+    (None, "optimizer_steps must be an integer, got None"),
+], ids=["negative", "float", "bool", "missing"])
+def test_load_run_checkpoint_refuses_bad_optimizer_steps(tmp_path, value,
+                                                         message):
+    ckpt = checkpointed_toy_run(tmp_path)
+    entries, meta = load_checkpoint(ckpt)
+    if value is None:
+        del meta["optimizer_steps"]
+    else:
+        meta["optimizer_steps"] = value
+    save_checkpoint(ckpt, entries.items(), meta=meta)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_run_checkpoint(ckpt)
 
 
 def test_load_run_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
