@@ -27,7 +27,7 @@ import numpy as np
 
 from .model import AttentionParams, ModelConfig, ModelParams
 from .numerics import Rng, no_grad
-from .numerics.tensor import attention_probs
+from .numerics import tensor as T
 from .ssm import SsmParams, discretize, materialize_kernel, ssm_apply
 
 CROP_RADIUS = 10
@@ -151,23 +151,6 @@ def write_kernel_csv(dump: KernelDump, path: str) -> str:
         json.dump(header, f, indent=2)
         f.write("\n")
     return sidecar
-
-
-def kernel_diff(a: KernelDump, b: KernelDump) -> List[dict]:
-    """Per (layer, direction) max |tap| change between two dumps, for
-    before/after comparisons of the same architecture."""
-    if (a.length, a.n_layers) != (b.length, b.n_layers):
-        raise ValueError("kernel dumps have different shapes")
-    rows = []
-    for sa, sb in zip(a.kernels, b.kernels):
-        if (sa.layer, sa.direction) != (sb.layer, sb.direction):
-            raise ValueError("kernel dumps are ordered differently")
-        rows.append({
-            "layer": sa.layer,
-            "direction": sa.direction,
-            "max_abs_delta": float(np.max(np.abs(sa.taps - sb.taps))),
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,4 +317,4 @@ def attention_scores(x: np.ndarray, attn: AttentionParams,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("attention_scores expects a single (L, d) input")
-    return attention_probs(x @ attn.w_q.data, x @ attn.w_k.data, n_heads)
+    return T.attention_probs(x @ attn.w_q.data, x @ attn.w_k.data, n_heads)

@@ -69,6 +69,12 @@ def save_checkpoint(directory: str,
     os.replace(man_tmp, os.path.join(directory, MANIFEST_NAME))
 
 
+def _require(doc: dict, keys: Tuple[str, ...], what: str) -> None:
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} lacks {key!r}")
+
+
 def load_checkpoint(directory: str) -> Tuple[Dict[str, np.ndarray], dict]:
     """Read a checkpoint back as ({name: array}, meta)."""
     man_path = os.path.join(directory, MANIFEST_NAME)
@@ -79,6 +85,10 @@ def load_checkpoint(directory: str) -> Tuple[Dict[str, np.ndarray], dict]:
         raise ValueError(
             f"unsupported checkpoint version {manifest.get('version')!r}"
         )
+    _require(manifest, ("total_bytes", "entries"), "checkpoint manifest")
+    for i, ent in enumerate(manifest["entries"]):
+        _require(ent, ("name", "shape", "offset", "size"),
+                 f"checkpoint manifest entry {i}")
     with open(buf_path, "rb") as f:
         raw = f.read()
     if len(raw) != manifest["total_bytes"]:
@@ -124,7 +134,7 @@ def load_into(targets: Iterable[Tuple[str, np.ndarray]],
     targets = list(targets)
     for name, arr in targets:
         if name not in entries:
-            raise KeyError(f"checkpoint is missing entry {name!r}")
+            raise ValueError(f"checkpoint is missing entry {name!r}")
         if entries[name].shape != arr.shape:
             raise ValueError(
                 f"shape mismatch for {name!r}: checkpoint "
@@ -132,6 +142,7 @@ def load_into(targets: Iterable[Tuple[str, np.ndarray]],
             )
     unused = set(entries).difference(name for name, _ in targets)
     if unused:
-        raise KeyError(f"checkpoint has unused entries: {sorted(unused)[:5]}")
+        raise ValueError(
+            f"checkpoint has unused entries: {sorted(unused)[:5]}")
     for name, arr in targets:
         arr[...] = entries[name]

@@ -305,20 +305,20 @@ def flip(x, axis: int = -2) -> Tensor:
     return T.flip(x, axis)
 
 
-def dropout(x, p: float, rng: Optional[Rng], train: bool, *,
+def dropout(x, p: float, rng: Optional[Rng], *,
             rows: Optional[np.ndarray] = None,
             shape: Optional[tuple] = None) -> Tensor:
-    """Inverted dropout; identity in eval mode or at p == 0.
+    """Inverted dropout; the identity at p == 0, as in evaluation.
 
     With `rows`, x holds those rows of the flattened (-1, d) positions
     of activations of `shape`. The mask is still drawn at `shape` and
     then gathered, so the Rng stream and each position's mask are those
     of the call on the whole activations.
     """
-    if not train or p == 0.0:
+    if p == 0.0:
         return T.as_tensor(x)
     if rng is None:
-        raise ValueError("dropout in training mode requires an rng")
+        raise ValueError(f"dropout at p={p} requires an rng")
     x = T.as_tensor(x)
     shape = x.shape if shape is None else shape
     keep = (rng.uniform(shape) >= p) / (1.0 - p)
@@ -358,8 +358,7 @@ def _route_gated(branch, ssm_p, attn_p, n_heads: int) -> Tensor:
 
 
 def gated_block(x, p: GatedBlockParams, *, dropout_p: float = 0.0,
-                rng: Optional[Rng] = None, train: bool = False,
-                n_heads: int = 1,
+                rng: Optional[Rng] = None, n_heads: int = 1,
                 rows: Optional[np.ndarray] = None) -> Tensor:
     """One gated block over (L, d) or (batch, L, d) activations.
 
@@ -386,7 +385,7 @@ def gated_block(x, p: GatedBlockParams, *, dropout_p: float = 0.0,
     u2 = T.matmul(_pick_rows(bwd, rows), p.w_u2)
     u = T.gelu(T.matmul(T.mul(u1, u2), p.w_u))
     out = T.matmul(T.mul(u, value), p.w_o)
-    out = dropout(out, dropout_p, rng, train, rows=rows, shape=x.shape)
+    out = dropout(out, dropout_p, rng, rows=rows, shape=x.shape)
     return T.add(out, _pick_rows(x, rows))
 
 
@@ -409,7 +408,7 @@ def stacked_route(x, p: StackedBlockParams, routing: str,
 
 def stacked_block(x, p: StackedBlockParams, routing: str, *,
                   n_heads: int = 1, dropout_p: float = 0.0,
-                  rng: Optional[Rng] = None, train: bool = False,
+                  rng: Optional[Rng] = None,
                   rows: Optional[np.ndarray] = None) -> Tensor:
     """One post-norm transformer layer with attention or ssm mixing.
 
@@ -426,11 +425,11 @@ def stacked_block(x, p: StackedBlockParams, routing: str, *,
             f"input width {x.shape[-1]} does not match block width {d}"
         )
     mixed = dropout(_pick_rows(stacked_route(x, p, routing, n_heads), rows),
-                    dropout_p, rng, train, rows=rows, shape=x.shape)
+                    dropout_p, rng, rows=rows, shape=x.shape)
     sub1 = T.layer_norm(T.add(_pick_rows(x, rows), mixed),
                         p.ln1_gain, p.ln1_bias)
     ffn = T.matmul(T.gelu(T.matmul(sub1, p.w_ffn1)), p.w_ffn2)
-    ffn = dropout(ffn, dropout_p, rng, train, rows=rows, shape=x.shape)
+    ffn = dropout(ffn, dropout_p, rng, rows=rows, shape=x.shape)
     return T.layer_norm(T.add(sub1, ffn), p.ln2_gain, p.ln2_bias)
 
 
@@ -482,12 +481,11 @@ def forward_mlm(tokens: np.ndarray, labels: np.ndarray, cfg: ModelConfig,
     for i, blk in enumerate(params.blocks):
         picked = rows if i == last else None
         if cfg.arch == "gated":
-            h = gated_block(h, blk, dropout_p=p_drop, rng=rng, train=train,
+            h = gated_block(h, blk, dropout_p=p_drop, rng=rng,
                             n_heads=cfg.n_heads, rows=picked)
         else:
             h = stacked_block(h, blk, cfg.routing, n_heads=cfg.n_heads,
-                              dropout_p=p_drop, rng=rng, train=train,
-                              rows=picked)
+                              dropout_p=p_drop, rng=rng, rows=picked)
     head = T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
                         emb.head_ln_gain, emb.head_ln_bias)
     return T.masked_cross_entropy(head, labels[rows], emb.token_table)

@@ -1,76 +1,24 @@
-"""Numeric substrate: tensors with reverse-mode autodiff (the causal
-convolution included), a seedable RNG, and ``next_pow2``."""
+"""Numeric substrate: a seedable RNG, the tape's entry points and
+``next_pow2``.
+
+The tape ops (``add``, ``matmul``, ``gelu``, ``ssm_conv``, ...) are the
+functions of ``numerics.tensor`` and have only that name; callers
+import the module (``from gatedssm.numerics import tensor as T``) and
+call ``T.<op>``.
+"""
 
 from .rng import Rng, derive_seed, mix64, raw_block, unit_floats
-from .tensor import (
-    Tensor,
-    TapeNode,
-    add,
-    as_tensor,
-    atan2,
-    backward,
-    causal_conv,
-    div,
-    embedding,
-    flip,
-    gelu,
-    getitem,
-    layer_norm,
-    masked_cross_entropy,
-    matmul,
-    mul,
-    neg,
-    no_grad,
-    power,
-    reshape,
-    softmax,
-    sub,
-    tcos,
-    texp,
-    tlog,
-    tmean,
-    tsin,
-    tsqrt,
-    tsum,
-    transpose,
-)
+from .tensor import Tensor, backward, no_grad
 
 __all__ = [
     "Rng",
-    "TapeNode",
     "Tensor",
-    "add",
-    "as_tensor",
-    "atan2",
     "backward",
-    "causal_conv",
     "derive_seed",
-    "div",
-    "embedding",
-    "flip",
-    "gelu",
-    "getitem",
-    "layer_norm",
-    "masked_cross_entropy",
-    "matmul",
     "mix64",
-    "mul",
-    "neg",
     "next_pow2",
     "no_grad",
-    "power",
     "raw_block",
-    "reshape",
-    "softmax",
-    "sub",
-    "tcos",
-    "texp",
-    "tlog",
-    "tmean",
-    "transpose",
-    "tsin",
-    "tsqrt",
-    "tsum",
     "unit_floats",
 ]
 

@@ -87,32 +87,19 @@ def unit_floats(raw: np.ndarray) -> np.ndarray:
 class Rng:
     """SplitMix64 stream with vectorized draws.
 
-    The only mutable state is a single 64-bit integer, exposed through
-    ``state`` so a stream can be saved and restored exactly. Nothing
-    persists an Rng: every stream a run draws from starts afresh from
+    The only mutable state is a single 64-bit integer. Nothing persists
+    an Rng: every stream a run draws from starts afresh from
     ``derive_seed(seed, ...)``, so a resumed run rebuilds its streams.
     """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    @property
-    def state(self) -> int:
-        return self._state
-
-    @state.setter
-    def state(self, value: int) -> None:
-        self._state = value & _MASK64
-
     def _raw(self, n: int) -> np.ndarray:
         """Next n outputs as a uint64 array; advances the state by n."""
         out = raw_block(self._state, n)
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return out
-
-    def u64(self) -> int:
-        """Single raw 64-bit draw."""
-        return int(self._raw(1)[0])
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
         """Uniform floats in [low, high). Scalar when shape is None."""

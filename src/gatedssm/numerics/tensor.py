@@ -109,9 +109,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -119,49 +116,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    # Arithmetic sugar; the module-level functions do the work.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -1024,12 +978,13 @@ def masked_cross_entropy(head, targets: np.ndarray, table) -> Tensor:
     is recorded, the blocks are slices of one (n, n_classes) buffer of
     shifted exponentials, which the backward rule scales into the
     logits' gradient G in place before returning d_head = G table and
-    d_table = (head^T G)^T; the rule can therefore run once, and a
-    second call raises. When no node is recorded (``no_grad``, or
-    inputs that need no gradient), every block reuses one block-sized
-    scratch, so nothing of the logits' size is allocated. Both run the
-    same GEMMs and row-local passes in the same order, so the recorded
-    and unrecorded losses are the same bits.
+    d_table = (head^T G)^T; the rule can therefore run once, which
+    ``backward`` ensures by using the graph up. When no node is
+    recorded (``no_grad``, or inputs that need no gradient), every
+    block reuses one block-sized scratch, so nothing of the logits'
+    size is allocated. Both run the same GEMMs and row-local passes in
+    the same order, so the recorded and unrecorded losses are the same
+    bits.
     """
     head, table = as_tensor(head), as_tensor(table)
     targets = np.asarray(targets)
@@ -1074,17 +1029,10 @@ def masked_cross_entropy(head, targets: np.ndarray, table) -> Tensor:
     data = np.array(-(z_tgt - np.log(total)).mean())
 
     def rule(g):
-        nonlocal e
-        if e is None:
-            raise RuntimeError(
-                "masked_cross_entropy: backward already ran through this "
-                "node, whose softmax buffer became its gradient"
-            )
-        p, e = e, None
         scale = float(g) / n
-        np.multiply(p, (scale / total)[:, None], out=p)
-        p[np.arange(n), targets] -= scale
+        np.multiply(e, (scale / total)[:, None], out=e)
+        e[np.arange(n), targets] -= scale
         # matmul's two products; transpose's rule turns the second back.
-        return np.matmul(p, table.data), np.matmul(head.data.T, p).T
+        return np.matmul(e, table.data), np.matmul(head.data.T, e).T
 
     return _record("masked_cross_entropy", data, (head, table), rule)

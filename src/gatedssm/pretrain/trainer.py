@@ -334,6 +334,9 @@ def _model_config_from_meta(model_config: dict) -> ModelConfig:
 def load_run_checkpoint(directory: str):
     """Rebuild (params, optimizer, meta) from a saved run checkpoint."""
     entries, meta = load_checkpoint(directory)
+    if "model_config" not in meta:
+        raise ValueError(f"{directory} is not a run checkpoint: its meta "
+                         f"has no model_config")
     _drop_stored_b(entries)
     cfg = _model_config_from_meta(meta["model_config"])
     # Drop the keys TrainConfig no longer has. Any other value than the

@@ -134,11 +134,11 @@ def mlm_head(tokens, cfg, params, rows=None, *, train=False, rng=None):
     p_drop = cfg.dropout if train else 0.0
     for blk in params.blocks:
         if cfg.arch == "gated":
-            h = gated_block(h, blk, dropout_p=p_drop, rng=rng, train=train,
+            h = gated_block(h, blk, dropout_p=p_drop, rng=rng,
                             n_heads=cfg.n_heads)
         else:
             h = stacked_block(h, blk, cfg.routing, n_heads=cfg.n_heads,
-                              dropout_p=p_drop, rng=rng, train=train)
+                              dropout_p=p_drop, rng=rng)
     h = T.reshape(h, (-1, cfg.d_model))
     if rows is not None:
         h = T.embedding(h, rows)

@@ -133,12 +133,12 @@ def test_load_into_strictness():
                ("c", np.zeros((2, 2)))]
     good = {name: np.ones(arr.shape) for name, arr in targets}
     cases = [
-        (KeyError, "missing entry 'c'",
+        (ValueError, "missing entry 'c'",
          {k: v for k, v in good.items() if k != "c"}),
         (ValueError,
          r"shape mismatch for 'c': checkpoint \(4,\), model \(2, 2\)",
          {**good, "c": np.ones(4)}),
-        (KeyError, r"unused entries: \['stray'\]",
+        (ValueError, r"unused entries: \['stray'\]",
          {**good, "stray": np.ones(1)}),
     ]
     for error, message, entries in cases:

@@ -2,11 +2,13 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from gatedssm import cli
+from gatedssm.checkpoint import MANIFEST_NAME, load_checkpoint, save_checkpoint
 from gatedssm.cli import main
 from gatedssm.model import ModelConfig, param_count
 from gatedssm.pretrain import (
@@ -449,6 +451,50 @@ def test_eval_missing_checkpoint_fails(tmp_path, corpus, capsys):
     assert main(["eval", str(tmp_path / "nockpt"), data,
                  "--out", str(tmp_path / "e")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("no-run-meta", "{bad} is not a run checkpoint: its meta has no "
+                    "model_config"),
+    ("missing-entry",
+     "checkpoint is missing entry 'adam_m.embeddings.token_table'"),
+    ("unused-entry", "checkpoint has unused entries: ['stray']"),
+], ids=["no-run-meta", "missing-entry", "unused-entry"])
+def test_run_checkpoint_fault_is_one_plain_line(tmp_path, short_run, fault,
+                                                message, capsys):
+    data, ckpt, _ = short_run
+    entries, meta = load_checkpoint(ckpt)
+    if fault == "no-run-meta":
+        meta = None
+    elif fault == "missing-entry":
+        del entries["adam_m.embeddings.token_table"]
+    else:
+        entries["stray"] = np.zeros(2)
+    bad = str(tmp_path / "bad")
+    save_checkpoint(bad, entries.items(), meta)
+    out = tmp_path / "out"
+    assert main(["eval", bad, data, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message.format(bad=bad)}\n"
+
+
+@pytest.mark.parametrize("key,entry", [
+    ("total_bytes", None), ("entries", None), ("name", 0), ("shape", 1),
+    ("offset", 0), ("size", 2),
+])
+def test_manifest_without_a_key_is_one_plain_line(tmp_path, short_run, key,
+                                                  entry, capsys):
+    bad = tmp_path / "bad"
+    shutil.copytree(short_run[1], bad)
+    doc = json.loads((bad / MANIFEST_NAME).read_text())
+    del (doc if entry is None else doc["entries"][entry])[key]
+    (bad / MANIFEST_NAME).write_text(json.dumps(doc))
+    where = "" if entry is None else f" entry {entry}"
+    out = tmp_path / "out"
+    assert main(["dump-kernels", str(bad), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert (capsys.readouterr().err
+            == f"error: checkpoint manifest{where} lacks '{key}'\n")
 
 
 def test_dump_kernels_rejects_attention_checkpoint(tmp_path, corpus,

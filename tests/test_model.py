@@ -136,21 +136,20 @@ def test_flip_reverses_rows():
 
 
 def test_dropout_identity_cases():
+    # p == 0 is evaluation: no rng is needed and x comes back as is.
     x = Tensor(Rng(2).normal((4, 4)))
-    assert dropout(x, 0.0, None, True) is x or np.array_equal(
-        dropout(x, 0.0, None, True).data, x.data)
-    np.testing.assert_array_equal(dropout(x, 0.5, None, False).data, x.data)
+    assert dropout(x, 0.0, None) is x
 
 
 def test_dropout_requires_rng_in_training():
     with pytest.raises(ValueError, match="rng"):
-        dropout(Tensor(np.ones(3)), 0.5, None, True)
+        dropout(Tensor(np.ones(3)), 0.5, None)
 
 
 def test_dropout_replayable_and_scaled():
     x = Tensor(np.ones((100, 10)))
-    a = dropout(x, 0.3, Rng(9), True).data
-    b = dropout(x, 0.3, Rng(9), True).data
+    a = dropout(x, 0.3, Rng(9)).data
+    b = dropout(x, 0.3, Rng(9)).data
     np.testing.assert_array_equal(a, b)
     kept = a != 0.0
     np.testing.assert_allclose(a[kept], 1.0 / 0.7)
@@ -163,7 +162,7 @@ def test_dropout_gradient_is_mask_product_bit_for_bit():
     p, shape = 0.3, (4, 6, 5)
     x = Tensor(Rng(80).normal(shape), requires_grad=True)
     g = Rng(81).normal(shape)
-    y = dropout(x, p, Rng(82), train=True)
+    y = dropout(x, p, Rng(82))
     keep = (Rng(82).uniform(shape) >= p) / (1.0 - p)
     np.testing.assert_array_equal(y.data, x.data * keep)
     assert y.node.backward_rule(g)[1] is None
@@ -573,11 +572,11 @@ def test_block_rows_match_the_full_block_then_a_gather(arch, routing):
     if arch == "gated":
         boost_gated_weights(blk)
 
-    def block(x, **kw):
+    def block(x, dropout_p=0.0, **kw):
         if arch == "gated":
-            return gated_block(x, blk, dropout_p=cfg.dropout,
+            return gated_block(x, blk, dropout_p=dropout_p,
                                n_heads=cfg.n_heads, **kw).data
-        return stacked_block(x, blk, routing, dropout_p=cfg.dropout,
+        return stacked_block(x, blk, routing, dropout_p=dropout_p,
                              n_heads=cfg.n_heads, **kw).data
 
     for shape, rows in (((6, 8), [5, 0, 3, 3]),
@@ -588,8 +587,8 @@ def test_block_rows_match_the_full_block_then_a_gather(arch, routing):
             full = block(x).reshape(-1, cfg.d_model)
             np.testing.assert_array_equal(block(x, rows=rows), full[rows])
             rng_full, rng_rows = Rng(66), Rng(66)
-            trained = block(x, train=True, rng=rng_full)
-            got = block(x, train=True, rng=rng_rows, rows=rows)
+            trained = block(x, cfg.dropout, rng=rng_full)
+            got = block(x, cfg.dropout, rng=rng_rows, rows=rows)
         trained = trained.reshape(-1, cfg.d_model)
         assert not np.array_equal(trained, full)  # dropout fired
         np.testing.assert_array_equal(got, trained[rows])

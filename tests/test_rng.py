@@ -21,16 +21,16 @@ def test_known_splitmix64_values():
         return out
 
     rng = Rng(1234567)
-    got = [rng.u64() for _ in range(8)]
-    assert got == ref_stream(1234567, 8)
+    assert [int(rng._raw(1)[0]) for _ in range(8)] == ref_stream(1234567, 8)
+    assert [int(v) for v in raw_block(1234567, 8)] == ref_stream(1234567, 8)
 
 
 def test_vectorized_matches_scalar_draws():
     a, b = Rng(99), Rng(99)
     block = a._raw(16)
-    singles = np.array([b.u64() for _ in range(16)], dtype=np.uint64)
+    singles = np.concatenate([b._raw(1) for _ in range(16)])
     assert np.array_equal(block, singles)
-    assert a.state == b.state
+    assert np.array_equal(a._raw(3), b._raw(3))
 
 
 def test_raw_block_matches_per_seed_draws():
@@ -45,16 +45,6 @@ def test_raw_block_matches_per_seed_draws():
                               rng.integers(0, 10, (3,)))
     assert np.array_equal(raw_block(99, 7), block[2])
     assert raw_block(seeds, 0).shape == (5, 0)
-
-
-def test_determinism_and_state_restore():
-    rng = Rng(7)
-    rng.uniform((10,))
-    saved = rng.state
-    x = rng.normal((5, 3))
-    rng.state = saved
-    y = rng.normal((5, 3))
-    assert np.array_equal(x, y)
 
 
 def test_uniform_range_and_moments():

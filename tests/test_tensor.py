@@ -15,7 +15,6 @@ from conftest import (
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-import gatedssm.numerics as nm
 from gatedssm.numerics import Rng, Tensor, backward, no_grad
 from gatedssm.numerics import tensor as T
 from gatedssm.ssm import (
@@ -31,6 +30,27 @@ def leaf(rng, shape, scale=1.0):
     return Tensor(rng.normal(shape, std=scale), requires_grad=True)
 
 
+def test_numerics_exports_no_tape_op():
+    # Each op has one name, numerics.tensor.<op>, and one call form, the
+    # function: the package re-exports only the RNG and the tape's
+    # entry points, and Tensor has no operator or method forms.
+    import gatedssm.numerics as numerics
+    assert sorted(numerics.__all__) == [
+        "Rng", "Tensor", "backward", "derive_seed", "mix64", "next_pow2",
+        "no_grad", "raw_block", "unit_floats"]
+    ops = {name for name, value in vars(T).items()
+           if callable(value) and not name.startswith("_")
+           and value.__module__ == T.__name__}
+    ops -= {"Tensor", "backward", "no_grad"}
+    assert {"add", "matmul", "gelu", "TapeNode", "as_tensor"} <= ops
+    assert not ops.intersection(vars(numerics))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                 "__matmul__", "__getitem__", "reshape", "transpose", "sum",
+                 "item"):
+        assert not hasattr(Tensor, name), name
+
+
 # ---------------------------------------------------------------------------
 # forward oracles
 
@@ -38,8 +58,8 @@ def leaf(rng, shape, scale=1.0):
 def test_matmul_identity_cases():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     eye = Tensor(np.eye(2))
-    np.testing.assert_array_equal(nm.matmul(a, eye).data, a.data)
-    col = nm.matmul(eye, Tensor([[5.0], [7.0]]))
+    np.testing.assert_array_equal(T.matmul(a, eye).data, a.data)
+    col = T.matmul(eye, Tensor([[5.0], [7.0]]))
     np.testing.assert_array_equal(col.data, [[5.0], [7.0]])
 
 
@@ -47,7 +67,7 @@ def test_matmul_matches_triple_loop_oracle():
     rng = Rng(10)
     a = rng.normal((3, 4))
     b = rng.normal((4, 2))
-    got = nm.matmul(Tensor(a), Tensor(b)).data
+    got = T.matmul(Tensor(a), Tensor(b)).data
     want = np.zeros((3, 2))
     for i in range(3):
         for j in range(2):
@@ -58,11 +78,11 @@ def test_matmul_matches_triple_loop_oracle():
 
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-        nm.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
 def test_gelu_values():
-    g = nm.gelu(Tensor([0.0, 10.0, -10.0]))
+    g = T.gelu(Tensor([0.0, 10.0, -10.0]))
     assert g.data[0] == 0.0
     assert abs(g.data[1] - 10.0) < 1e-6
     assert abs(g.data[2]) < 1e-6
@@ -70,28 +90,28 @@ def test_gelu_values():
 
 def test_layer_norm_constant_row_collapses_to_bias():
     x = Tensor(np.full((2, 4), 3.0))
-    out = nm.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=1e-5)
+    out = T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), eps=1e-5)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
 def test_layer_norm_already_normalized_row():
     x = Tensor([[1.0, -1.0]])
-    out = nm.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
+    out = T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)), eps=1e-12)
     np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
 
 
 def test_layer_norm_rejects_bad_args():
     with pytest.raises(ValueError, match="eps"):
-        nm.layer_norm(Tensor(np.ones((2, 2))), Tensor(np.ones(2)),
+        T.layer_norm(Tensor(np.ones((2, 2))), Tensor(np.ones(2)),
                       Tensor(np.zeros(2)), eps=0.0)
     with pytest.raises(ValueError, match="empty"):
-        nm.layer_norm(Tensor(np.ones((2, 0))), Tensor(np.ones(0)),
+        T.layer_norm(Tensor(np.ones((2, 0))), Tensor(np.ones(0)),
                       Tensor(np.zeros(0)))
 
 
 def test_softmax_rows_sum_to_one():
     rng = Rng(2)
-    s = nm.softmax(Tensor(rng.normal((5, 9), std=4.0)))
+    s = T.softmax(Tensor(rng.normal((5, 9), std=4.0)))
     np.testing.assert_allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -101,34 +121,34 @@ def test_softmax_rows_sum_to_one():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    backward(nm.tsum(x))
+    backward(T.tsum(x))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_square_at_three():
     x = Tensor(3.0, requires_grad=True)
-    backward(nm.mul(x, x))
+    backward(T.mul(x, x))
     assert float(x.grad) == 6.0
 
 
 def test_backward_rejects_non_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        backward(nm.mul(x, x))
+        backward(T.mul(x, x))
 
 
 def test_unreachable_parameter_keeps_zero_grad():
     x = Tensor(np.ones(3), requires_grad=True)
     y = Tensor(np.ones(3), requires_grad=True)
-    backward(nm.tsum(nm.mul(x, 2.0)))
+    backward(T.tsum(T.mul(x, 2.0)))
     np.testing.assert_array_equal(y.grad, np.zeros(3))
     np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
 
 
 def test_grad_accumulates_across_backward_calls():
     x = Tensor(2.0, requires_grad=True)
-    backward(nm.mul(x, x))
-    backward(nm.mul(x, x))
+    backward(T.mul(x, x))
+    backward(T.mul(x, x))
     assert float(x.grad) == 8.0
     x.zero_grad()
     assert float(x.grad) == 0.0
@@ -138,8 +158,8 @@ def test_reused_node_visited_once():
     # Diamond graph: y appears twice downstream; one traversal must
     # still produce the correct doubled contribution.
     x = Tensor(3.0, requires_grad=True)
-    y = nm.mul(x, x)
-    z = nm.add(y, y)
+    y = T.mul(x, x)
+    z = T.add(y, y)
     backward(z)
     assert float(x.grad) == 12.0
 
@@ -147,7 +167,7 @@ def test_reused_node_visited_once():
 def test_no_grad_suppresses_recording():
     x = Tensor(1.0, requires_grad=True)
     with no_grad():
-        y = nm.mul(x, x)
+        y = T.mul(x, x)
     assert y.node is None
     backward(y)
     assert float(x.grad) == 0.0
@@ -156,8 +176,8 @@ def test_no_grad_suppresses_recording():
 def test_backward_frees_the_graph_it_walks():
     rng = Rng(34)
     x, w = leaf(rng, (8, 16)), leaf(rng, (16, 4))
-    h = nm.gelu(nm.matmul(x, w))
-    loss = nm.tsum(nm.mul(h, h))
+    h = T.gelu(T.matmul(x, w))
+    loss = T.tsum(T.mul(h, h))
     # Tensors take no weak references; an intermediate's data array is
     # held by the intermediate alone, so it dies with it.
     probe = weakref.ref(h.data)
@@ -173,8 +193,8 @@ def spent_graph(rng):
     """Leaves x and w, an intermediate and the loss of one graph that
     backward has walked, and copies of the leaves' grads."""
     x, w = leaf(rng, (3, 4)), leaf(rng, (3, 4))
-    y = nm.mul(x, w)
-    loss = nm.tsum(y)
+    y = T.mul(x, w)
+    loss = T.tsum(y)
     backward(loss)
     return x, w, y, loss, (x.grad.copy(), w.grad.copy())
 
@@ -192,7 +212,7 @@ def test_op_on_a_spent_intermediate_is_refused_before_any_grad_moves():
     # The new graph also reaches x directly, so a check made after the
     # first rule ran would already have added to x.grad.
     x, w, y, _, grads = spent_graph(Rng(36))
-    loss = nm.add(nm.tsum(nm.mul(y, x)), nm.tsum(x))
+    loss = T.add(T.tsum(T.mul(y, x)), T.tsum(x))
     with pytest.raises(RuntimeError, match="backward already ran") as info:
         backward(loss)
     assert "\n" not in str(info.value)
@@ -203,8 +223,8 @@ def test_op_on_a_spent_intermediate_is_refused_before_any_grad_moves():
 def test_forward_is_bit_deterministic():
     rng = Rng(33)
     x = Tensor(rng.normal((4, 8)))
-    a = nm.gelu(nm.matmul(x, x.transpose())).data
-    b = nm.gelu(nm.matmul(x, x.transpose())).data
+    a = T.gelu(T.matmul(x, T.transpose(x))).data
+    b = T.gelu(T.matmul(x, T.transpose(x))).data
     assert np.array_equal(a, b)
 
 
@@ -217,7 +237,7 @@ def test_gelu_matches_erf_formula_bit_for_bit(shape):
     a = x.data
     cdf = 0.5 * (1.0 + erf(a / np.sqrt(2.0)))
     pdf = float(1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * a * a)
-    y = nm.gelu(x)
+    y = T.gelu(x)
     np.testing.assert_array_equal(y.data, a * cdf)
     g_seen = g.copy()
     (gx,) = y.node.backward_rule(g)
@@ -266,13 +286,13 @@ def test_gelu_across_blocks_and_special_values_bit_for_bit(size):
         want_y = a * cdf
         want_gx = g * (cdf + a * pdf)
         x = Tensor(a, requires_grad=True)
-        y = nm.gelu(x)
+        y = T.gelu(x)
         rule = y.node.backward_rule
         kept = dict(zip(rule.__code__.co_freevars,
                         (c.cell_contents for c in rule.__closure__)))
         (gx,) = rule(g)
         with no_grad():
-            plain = nm.gelu(x)
+            plain = T.gelu(x)
     assert_same_bits(y.data, want_y)
     assert_same_bits(kept["cdf"], cdf)
     assert_same_bits(gx, want_gx)
@@ -298,7 +318,7 @@ def test_gelu_without_tape_keeps_nothing_of_the_input_size():
 
     def run():
         with no_grad():
-            nm.gelu(x)
+            T.gelu(x)
 
     peak = traced_peak(run)
     assert peak < output + (1 << 20), (peak, output)
@@ -310,8 +330,8 @@ def test_gelu_without_tape_keeps_nothing_of_the_input_size():
 
 def test_gelu_gradient_at_half():
     x = Tensor(np.array([0.5]), requires_grad=True)
-    backward(nm.tsum(nm.gelu(x)))
-    fd = finite_difference_grad(lambda: nm.tsum(nm.gelu(x)), x, h=1e-6)
+    backward(T.tsum(T.gelu(x)))
+    fd = finite_difference_grad(lambda: T.tsum(T.gelu(x)), x, h=1e-6)
     assert abs(float(x.grad[0]) - float(fd[0])) < 1e-6
 
 
@@ -332,14 +352,14 @@ def test_binary_op_gradients(op, shapes):
     if op == "div":
         b.data[...] = np.abs(b.data) + 0.5
     fn = {
-        "add": nm.add, "add_broadcast": nm.add, "sub": nm.sub,
-        "mul": nm.mul, "mul_broadcast": nm.mul, "div": nm.div,
-        "matmul": nm.matmul, "matmul_batched": nm.matmul,
+        "add": T.add, "add_broadcast": T.add, "sub": T.sub,
+        "mul": T.mul, "mul_broadcast": T.mul, "div": T.div,
+        "matmul": T.matmul, "matmul_batched": T.matmul,
     }[op]
     weight = Tensor(Rng(1).normal(fn(a, b).shape))
 
     def f():
-        return nm.tsum(nm.mul(fn(a, b), weight))
+        return T.tsum(T.mul(fn(a, b), weight))
 
     check_grads(f, [("a", a), ("b", b)])
 
@@ -353,14 +373,14 @@ def test_unary_op_gradients(name):
     if name in ("log", "sqrt", "power"):
         x.data[...] = np.abs(x.data) + 0.5
     fn = {
-        "exp": nm.texp, "log": nm.tlog, "sqrt": nm.tsqrt, "sin": nm.tsin,
-        "cos": nm.tcos, "gelu": nm.gelu, "neg": nm.neg,
-        "power": lambda t: nm.power(t, 1.7),
+        "exp": T.texp, "log": T.tlog, "sqrt": T.tsqrt, "sin": T.tsin,
+        "cos": T.tcos, "gelu": T.gelu, "neg": T.neg,
+        "power": lambda t: T.power(t, 1.7),
     }[name]
     weight = Tensor(Rng(2).normal((4, 5)))
 
     def f():
-        return nm.tsum(nm.mul(fn(x), weight))
+        return T.tsum(T.mul(fn(x), weight))
 
     check_grads(f, [(name, x)])
 
@@ -373,7 +393,7 @@ def test_atan2_gradient():
     w = Tensor(Rng(3).normal((6,)))
 
     def f():
-        return nm.tsum(nm.mul(nm.atan2(y, x), w))
+        return T.tsum(T.mul(T.atan2(y, x), w))
 
     check_grads(f, [("y", y), ("x", x)])
 
@@ -384,11 +404,11 @@ def test_atan2_gradient():
 def test_reduction_gradients(axis, keepdims):
     rng = Rng(17)
     x = leaf(rng, (3, 4))
-    for red in (nm.tsum, nm.tmean):
+    for red in (T.tsum, T.tmean):
         w = Tensor(Rng(4).normal(red(x, axis=axis, keepdims=keepdims).shape))
 
         def f():
-            return nm.tsum(nm.mul(red(x, axis=axis, keepdims=keepdims), w))
+            return T.tsum(T.mul(red(x, axis=axis, keepdims=keepdims), w))
 
         check_grads(f, [("x", x)])
 
@@ -399,11 +419,11 @@ def test_shape_op_gradients():
     w = Tensor(Rng(5).normal((4, 6)))
 
     def f():
-        y = nm.reshape(x, (4, 6))
-        y = nm.mul(y, w)
-        y = nm.transpose(y)
-        y = nm.flip(y, axis=0)
-        return nm.tsum(nm.mul(y, y))
+        y = T.reshape(x, (4, 6))
+        y = T.mul(y, w)
+        y = T.transpose(y)
+        y = T.flip(y, axis=0)
+        return T.tsum(T.mul(y, y))
 
     check_grads(f, [("x", x)])
 
@@ -414,20 +434,20 @@ def test_getitem_gradient():
     w = Tensor(Rng(6).normal((2, 4)))
 
     def f():
-        return nm.tsum(nm.mul(x[1:3], w))
+        return T.tsum(T.mul(T.getitem(x, slice(1, 3)), w))
 
     check_grads(f, [("x", x)])
 
 
 def test_getitem_repeated_indices_accumulate():
     x = Tensor(np.arange(4.0), requires_grad=True)
-    backward(nm.tsum(x[np.array([0, 0, 2])]))
+    backward(T.tsum(T.getitem(x, np.array([0, 0, 2]))))
     np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0, 0.0])
     w = Tensor(Rng(12).normal((3, 4)))
     y = leaf(Rng(24), (5, 4))
 
     def f():
-        return nm.tsum(nm.mul(y[np.array([4, 1, 4])], w))
+        return T.tsum(T.mul(T.getitem(y, np.array([4, 1, 4])), w))
 
     check_grads(f, [("y", y)])
 
@@ -438,7 +458,7 @@ def test_softmax_gradient():
     w = Tensor(Rng(7).normal((3, 7)))
 
     def f():
-        return nm.tsum(nm.mul(nm.softmax(x), w))
+        return T.tsum(T.mul(T.softmax(x), w))
 
     check_grads(f, [("x", x)])
 
@@ -451,7 +471,7 @@ def test_layer_norm_gradient():
     w = Tensor(Rng(10).normal((4, 6)))
 
     def f():
-        return nm.tsum(nm.mul(nm.layer_norm(x, gain, bias, eps=1e-5), w))
+        return T.tsum(T.mul(T.layer_norm(x, gain, bias, eps=1e-5), w))
 
     check_grads(f, [("x", x), ("gain", gain), ("bias", bias)], tol=1e-5)
 
@@ -459,13 +479,13 @@ def test_layer_norm_gradient():
 def test_embedding_forward_and_gradient():
     table = Tensor(Rng(41).normal((7, 3)), requires_grad=True)
     ids = np.array([[0, 2], [2, 6]])
-    out = nm.embedding(table, ids)
+    out = T.embedding(table, ids)
     assert out.shape == (2, 2, 3)
     np.testing.assert_array_equal(out.data[0, 1], table.data[2])
     w = Tensor(Rng(11).normal((2, 2, 3)))
 
     def f():
-        return nm.tsum(nm.mul(nm.embedding(table, ids), w))
+        return T.tsum(T.mul(T.embedding(table, ids), w))
 
     check_grads(f, [("table", table)])
     # Duplicate ids must accumulate, giving row 2 two contributions.
@@ -483,7 +503,7 @@ def test_embedding_gradient_matches_add_at_bit_for_bit(n_rows, d, ids_shape):
     # Few distinct ids, so most rows are hit many times.
     ids = rng.integers(0, min(n_rows, 13), ids_shape)
     w = rng.normal(ids_shape + (d,))
-    backward(nm.tsum(nm.mul(nm.embedding(table, ids), Tensor(w))))
+    backward(T.tsum(T.mul(T.embedding(table, ids), Tensor(w))))
     want = np.zeros((n_rows, d))
     np.add.at(want, ids.reshape(-1), w.reshape(-1, d))
     assert table.grad.dtype == np.float64
@@ -493,7 +513,7 @@ def test_embedding_gradient_matches_add_at_bit_for_bit(n_rows, d, ids_shape):
 def test_embedding_range_error():
     table = Tensor(np.zeros((4, 2)))
     with pytest.raises(ValueError, match="out of range"):
-        nm.embedding(table, np.array([0, 4]))
+        T.embedding(table, np.array([0, 4]))
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +553,7 @@ def test_attention_matches_composite_bit_for_bit(shape, n_heads):
     for op in (composite_attention, T.attention):
         q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
         out = op(q, k, v, n_heads)
-        backward(nm.tsum(nm.mul(out, w)))
+        backward(T.tsum(T.mul(out, w)))
         results.append((out.data, q.grad, k.grad, v.grad))
     for want, got in zip(*results):
         np.testing.assert_array_equal(got, want)
@@ -546,7 +566,7 @@ def test_attention_gradients(shape, n_heads):
     w = Tensor(rng.normal(shape))
 
     def f():
-        return nm.tsum(nm.mul(T.attention(q, k, v, n_heads), w))
+        return T.tsum(T.mul(T.attention(q, k, v, n_heads), w))
 
     check_grads(f, [("q", q), ("k", k), ("v", v)])
 
@@ -596,7 +616,7 @@ def test_causal_conv_identity_kernel():
     u = Rng(51).normal((6,))
     taps = np.zeros(6)
     taps[0] = 1.0
-    out = nm.causal_conv(Tensor(taps), Tensor(u))
+    out = T.causal_conv(Tensor(taps), Tensor(u))
     np.testing.assert_allclose(out.data, u, atol=1e-12)
 
 
@@ -604,7 +624,7 @@ def test_causal_conv_matches_direct_sum():
     rng = Rng(52)
     taps = rng.normal((128,))
     u = rng.normal((3, 128,))
-    got = nm.causal_conv(Tensor(taps), Tensor(u)).data
+    got = T.causal_conv(Tensor(taps), Tensor(u)).data
     np.testing.assert_allclose(got, direct_causal_conv(taps, u), atol=1e-9)
 
 
@@ -613,13 +633,13 @@ def test_causal_conv_odd_lengths(L):
     rng = Rng(100 + L)
     taps = rng.normal((L,))
     u = rng.normal((L,))
-    got = nm.causal_conv(Tensor(taps), Tensor(u)).data
+    got = T.causal_conv(Tensor(taps), Tensor(u)).data
     np.testing.assert_allclose(got, direct_causal_conv(taps, u), atol=1e-10)
 
 
 def test_causal_conv_length_mismatch():
     with pytest.raises(ValueError, match="length"):
-        nm.causal_conv(Tensor(np.zeros(4)), Tensor(np.zeros(5)))
+        T.causal_conv(Tensor(np.zeros(4)), Tensor(np.zeros(5)))
 
 
 def _check_causal_conv_grads(L):
@@ -627,12 +647,12 @@ def _check_causal_conv_grads(L):
     taps = leaf(rng, (L,))
     u = leaf(rng, (2, L))
     w = Tensor(Rng(12).normal((2, L)))
-    np.testing.assert_allclose(nm.causal_conv(taps, u).data,
+    np.testing.assert_allclose(T.causal_conv(taps, u).data,
                                direct_causal_conv(taps.data, u.data),
                                atol=1e-12)
 
     def f():
-        return nm.tsum(nm.mul(nm.causal_conv(taps, u), w))
+        return T.tsum(T.mul(T.causal_conv(taps, u), w))
 
     check_grads(f, [("taps", taps), ("u", u)])
 
@@ -655,15 +675,15 @@ def test_causal_conv_transposed_batch():
     taps = leaf(rng, (7,))
     x = leaf(rng, (2, 7, 3))
     w = Tensor(Rng(13).normal((2, 3, 7)))
-    cols = nm.transpose(x, (0, 2, 1))
+    cols = T.transpose(x, (0, 2, 1))
     assert not cols.data.flags.c_contiguous
-    got = nm.causal_conv(taps, cols).data
+    got = T.causal_conv(taps, cols).data
     np.testing.assert_allclose(got, direct_causal_conv(taps.data, cols.data),
                                atol=1e-12)
 
     def f():
-        cols = nm.transpose(x, (0, 2, 1))
-        return nm.tsum(nm.mul(nm.causal_conv(taps, cols), w))
+        cols = T.transpose(x, (0, 2, 1))
+        return T.tsum(T.mul(T.causal_conv(taps, cols), w))
 
     check_grads(f, [("taps", taps), ("x", x)])
 
@@ -695,8 +715,8 @@ def dense_toeplitz_conv(taps, u, g):
 def conv_and_grads(taps, u, w):
     """causal_conv(taps, u) and the gradients of sum(w * out)."""
     taps, u = Tensor(taps, requires_grad=True), Tensor(u, requires_grad=True)
-    out = nm.causal_conv(taps, u)
-    backward(nm.tsum(nm.mul(out, Tensor(w))))
+    out = T.causal_conv(taps, u)
+    backward(T.tsum(T.mul(out, Tensor(w))))
     return out.data, taps.grad, u.grad
 
 
@@ -766,7 +786,7 @@ def test_masked_cross_entropy_matches_manual():
     rng = Rng(61)
     head, table = rng.normal((4, 3)), rng.normal((5, 3))
     targets = np.array([2, 0, 0, 4])
-    loss = nm.masked_cross_entropy(Tensor(head, requires_grad=True),
+    loss = T.masked_cross_entropy(Tensor(head, requires_grad=True),
                                    targets, Tensor(table))
     # Manual route via plain numpy logits and softmax.
     logits = head @ table.T
@@ -781,12 +801,12 @@ def test_masked_cross_entropy_every_row_labeled():
     # losses, and each row's head gradient is its own loss's over n.
     head, table, targets = tied_head_case(4, 11, 9, seed=64)
     h = Tensor(head, requires_grad=True)
-    loss = nm.masked_cross_entropy(h, targets, Tensor(table))
+    loss = T.masked_cross_entropy(h, targets, Tensor(table))
     backward(loss)
     alone = []
     for i in range(4):
         row = Tensor(head[i:i + 1], requires_grad=True)
-        one = nm.masked_cross_entropy(row, targets[i:i + 1], Tensor(table))
+        one = T.masked_cross_entropy(row, targets[i:i + 1], Tensor(table))
         backward(one)
         alone.append(float(one.data))
         np.testing.assert_allclose(h.grad[i], row.grad[0] / 4, rtol=1e-13)
@@ -801,7 +821,7 @@ def test_masked_cross_entropy_gradient(monkeypatch):
     rng = Rng(63)
     head, table = leaf(rng, (5, 4)), leaf(rng, (7, 4))
     targets = np.array([0, 3, 6, 6, 2])
-    check_grads(lambda: nm.masked_cross_entropy(head, targets, table),
+    check_grads(lambda: T.masked_cross_entropy(head, targets, table),
                 [("head", head), ("table", table)])
 
 
@@ -834,15 +854,15 @@ def assert_matches_numpy(n, n_classes, d):
                                                        targets, g)
     h = Tensor(head, requires_grad=True)
     t = Tensor(table, requires_grad=True)
-    loss = nm.masked_cross_entropy(h, targets, t)
-    backward(nm.mul(loss, g))
+    loss = T.masked_cross_entropy(h, targets, t)
+    backward(T.mul(loss, g))
     assert float(loss.data) == want_loss
     np.testing.assert_array_equal(h.grad, want_head)
     np.testing.assert_array_equal(t.grad, want_table)
     with no_grad():
-        plain = nm.masked_cross_entropy(h, targets, t)
+        plain = T.masked_cross_entropy(h, targets, t)
     assert plain.node is None and float(plain.data) == want_loss
-    plain = nm.masked_cross_entropy(Tensor(head), targets, Tensor(table))
+    plain = T.masked_cross_entropy(Tensor(head), targets, Tensor(table))
     assert float(plain.data) == want_loss
 
 
@@ -882,7 +902,7 @@ def test_tied_head_cross_entropy_gradients():
     head = leaf(rng, (6, 5))
     table = leaf(rng, (7, 5))
     targets = np.array([0, 3, 4, 6, 6, 2])
-    check_grads(lambda: nm.masked_cross_entropy(head, targets, table),
+    check_grads(lambda: T.masked_cross_entropy(head, targets, table),
                 [("head", head), ("table", table)])
 
 
@@ -897,7 +917,7 @@ def test_masked_cross_entropy_without_tape_stays_below_one_buffer(needs_grad):
 
     def run():
         with no_grad() if needs_grad else nullcontext():
-            nm.masked_cross_entropy(h, targets, t)
+            T.masked_cross_entropy(h, targets, t)
 
     assert traced_peak(run) < buffer / 2, buffer
 
@@ -910,7 +930,7 @@ def test_tied_head_cross_entropy_holds_one_vocabulary_wide_buffer():
     t = Tensor(table, requires_grad=True)
     kept = []
     peak = traced_peak(
-        lambda: kept.append(nm.masked_cross_entropy(h, targets, t)))
+        lambda: kept.append(T.masked_cross_entropy(h, targets, t)))
     assert buffer < peak < 1.1 * buffer, (peak, buffer)
 
 
@@ -918,7 +938,7 @@ def test_masked_cross_entropy_second_backward_raises():
     # Only the head needs a gradient; the node still spends its buffer.
     rng = Rng(67)
     head, table = leaf(rng, (5, 7)), Tensor(rng.normal((4, 7)))
-    loss = nm.masked_cross_entropy(head, np.array([1, 3, 2, 0, 2]), table)
+    loss = T.masked_cross_entropy(head, np.array([1, 3, 2, 0, 2]), table)
     backward(loss)
     first = head.grad.copy()
     with pytest.raises(RuntimeError, match="backward already ran") as info:
@@ -931,7 +951,7 @@ def test_masked_cross_entropy_second_backward_raises():
 def test_tied_head_cross_entropy_second_backward_raises():
     rng = Rng(70)
     head, table = leaf(rng, (5, 3)), leaf(rng, (7, 3))
-    loss = nm.masked_cross_entropy(head, np.array([1, 5, 6, 0, 2]), table)
+    loss = T.masked_cross_entropy(head, np.array([1, 5, 6, 0, 2]), table)
     backward(loss)
     first = head.grad.copy(), table.grad.copy()
     with pytest.raises(RuntimeError, match="backward already ran") as info:
@@ -952,23 +972,23 @@ def test_tied_head_cross_entropy_second_backward_raises():
         "bool"])
 def test_masked_cross_entropy_rejects_bad_labels(targets, message):
     with pytest.raises(ValueError, match=message) as info:
-        nm.masked_cross_entropy(Tensor(np.zeros((3, 2))), targets,
+        T.masked_cross_entropy(Tensor(np.zeros((3, 2))), targets,
                                 Tensor(np.zeros((4, 2))))
     assert "\n" not in str(info.value)
 
 
 def test_masked_cross_entropy_requires_labels():
     with pytest.raises(ValueError, match="no rows to score"):
-        nm.masked_cross_entropy(Tensor(np.zeros((0, 3))),
+        T.masked_cross_entropy(Tensor(np.zeros((0, 3))),
                                 np.zeros(0, dtype=np.int64),
                                 Tensor(np.zeros((5, 3))))
     with pytest.raises(ValueError, match="does not match head rows 2"):
-        nm.masked_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]),
+        T.masked_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0]),
                                 Tensor(np.zeros((5, 3))))
 
 
 def test_uniform_logits_give_log_vocab():
-    loss = nm.masked_cross_entropy(Tensor(np.zeros((3, 4))),
+    loss = T.masked_cross_entropy(Tensor(np.zeros((3, 4))),
                                    np.array([0, 10, 49]),
                                    Tensor(np.ones((50, 4))))
     assert abs(float(loss.data) - np.log(50)) < 1e-12
@@ -976,7 +996,7 @@ def test_uniform_logits_give_log_vocab():
 
 def test_tied_head_cross_entropy_rejects_a_table_of_another_width():
     with pytest.raises(ValueError, match="differ in width") as info:
-        nm.masked_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]),
+        T.masked_cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 1]),
                                 Tensor(np.zeros((5, 4))))
     assert "\n" not in str(info.value)
 
@@ -993,10 +1013,10 @@ def test_composite_graph_gradient():
     bias = Tensor(np.zeros(8), requires_grad=True)
 
     def f():
-        h = nm.gelu(nm.matmul(x, w1))
-        h = nm.layer_norm(h, gain, bias)
-        h = nm.add(h, nm.flip(h, axis=0))
-        return nm.tmean(nm.mul(h, h))
+        h = T.gelu(T.matmul(x, w1))
+        h = T.layer_norm(h, gain, bias)
+        h = T.add(h, T.flip(h, axis=0))
+        return T.tmean(T.mul(h, h))
 
     check_grads(f, [("x", x), ("w1", w1), ("gain", gain), ("bias", bias)])
 

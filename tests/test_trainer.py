@@ -598,8 +598,8 @@ def test_load_run_checkpoint_refuses_a_checkpoint_without_moments(
     edited = str(tmp_path / "edited")
     save_checkpoint(edited, [(k, a) for k, a in entries.items()
                              if not k.startswith("adam_")], meta=meta)
-    with pytest.raises(KeyError, match="checkpoint is missing entry "
-                                       "'adam_m.embeddings.token_table'"
+    with pytest.raises(ValueError, match="checkpoint is missing entry "
+                                         "'adam_m.embeddings.token_table'"
                        ) as err:
         load_run_checkpoint(edited)
     assert "\n" not in str(err.value)
