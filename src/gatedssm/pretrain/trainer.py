@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import re
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -30,7 +29,7 @@ from ..model import (
 from ..numerics import Rng, backward, derive_seed, no_grad
 from ..numerics import tensor as T
 from .masking import IGNORE_LABEL, mask_tokens
-from .optim import SCHEDULES, WEIGHT_DECAY, AdamW
+from .optim import SCHEDULES, AdamW
 from .shards import read_shard, write_shard
 from .vocab import (MASK, N_SPECIAL, PAD, TokenizedCorpus, Vocab,
                     build_vocab)
@@ -282,71 +281,29 @@ class _ZeroDraws:
     uniform = normal
 
 
-# Entries of checkpoints written while SsmParams still stored the input
-# matrix B, which is fixed at 1 + 0i.
-_STORED_B = re.compile(r"\.ssm_(?:fwd|bwd)\.b_(?:re|im)$")
-
-
-def _drop_stored_b(entries: Dict[str, np.ndarray]) -> None:
-    """Remove stored B entries in place; they must hold exactly 1 and 0."""
-    for name in [k for k in entries if _STORED_B.search(k)]:
-        want = 1.0 if name.endswith("re") else 0.0
-        if not np.all(entries.pop(name) == want):
-            raise ValueError(f"checkpoint entry {name!r} must hold {want:g} "
-                             f"everywhere: B is fixed at 1 + 0i")
-
-
-# Keys that ModelConfig no longer has, each mapped to the value it now
-# takes for a given config. dt_min and dt_max only shaped
-# initialization, so any stored value loads (None).
-_RETIRED_KEYS = {
-    "dt_min": None,
-    "dt_max": None,
-    "use_bias": lambda cfg: False,
-    "intermediate": lambda cfg: cfg.intermediate,
-    "use_position_embeddings": lambda cfg: cfg.use_position_embeddings,
-}
-# Keys that TrainConfig no longer has, each with the one value it takes.
-_RETIRED_TRAIN_KEYS = {"weight_decay": WEIGHT_DECAY, "clip_norm": 0.0}
-
-
-def _model_config_from_meta(model_config: dict) -> ModelConfig:
-    """The ModelConfig a checkpoint stores. Retired keys are dropped
-    from `model_config` in place; one whose stored value differs from
-    the value it now takes is refused, and so is any other key
-    ModelConfig lacks."""
-    retired = {key: model_config.pop(key) for key in list(model_config)
-               if key in _RETIRED_KEYS}
-    known = {f.name for f in fields(ModelConfig)}
-    for key in model_config:
-        if key not in known:
-            raise ValueError(f"checkpoint model_config has unknown key "
-                             f"{key!r}")
-    cfg = ModelConfig(**model_config)
-    for key, value in retired.items():
-        derive = _RETIRED_KEYS[key]
-        if derive is not None and value != derive(cfg):
-            raise ValueError(f"checkpoint model_config key {key!r} is "
-                             f"{value!r}; this model takes {derive(cfg)!r}")
-    return cfg
+def _stored_config(meta: dict, key: str, cls):
+    """The `cls` dataclass a run checkpoint stores under `meta[key]`; a
+    key the dataclass lacks, or a field the store lacks, is refused."""
+    stored = meta[key]
+    names = [f.name for f in fields(cls)]
+    for name in stored:
+        if name not in names:
+            raise ValueError(f"checkpoint {key} has unknown key {name!r}")
+    for name in names:
+        if name not in stored:
+            raise ValueError(f"checkpoint {key} lacks {name!r}")
+    return cls(**stored)
 
 
 def load_run_checkpoint(directory: str):
     """Rebuild (params, optimizer, meta) from a saved run checkpoint."""
     entries, meta = load_checkpoint(directory)
-    if "model_config" not in meta:
-        raise ValueError(f"{directory} is not a run checkpoint: its meta "
-                         f"has no model_config")
-    _drop_stored_b(entries)
-    cfg = _model_config_from_meta(meta["model_config"])
-    # Drop the keys TrainConfig no longer has. Any other value than the
-    # one every run now takes would resume another recipe.
-    tc = meta.get("train_config", {})
-    for key, want in _RETIRED_TRAIN_KEYS.items():
-        value = tc.pop(key, want)
-        if value != want:
-            raise ValueError(f"checkpoint train_config key {key!r} is "
-                             f"{value!r}; training now takes {want!r}")
+    for key in ("model_config", "train_config"):
+        if key not in meta:
+            raise ValueError(f"{directory} is not a run checkpoint: its "
+                             f"meta has no {key}")
+    cfg = _stored_config(meta, "model_config", ModelConfig)
+    _stored_config(meta, "train_config", TrainConfig)
     # The optimizer takes over the parameters' storage, so one load
     # writes every parameter and moment straight into its buffers.
     params = init_model(cfg, _ZeroDraws())
@@ -497,16 +454,12 @@ def load_extension(checkpoint_dir: str, new_len: int,
             f"expected {new_len}"
         )
     params.config = replace(cfg, max_len=new_len)
-    old_tc = meta.get("train_config", {})
-    tc = TrainConfig(
-        steps=steps,
-        batch_size=(old_tc.get("batch_size", 16) if batch_size is None
-                    else batch_size),
-        peak_lr=lr,
-        schedule="constant",
-        warmup_frac=old_tc.get("warmup_frac", 0.01),
-        seed=seed if seed is not None else old_tc.get("seed", 0) + 1,
-    )
+    stored = _stored_config(meta, "train_config", TrainConfig)
+    tc = replace(stored, steps=steps, peak_lr=lr, schedule="constant",
+                 checkpoint_every=0,
+                 seed=stored.seed + 1 if seed is None else seed,
+                 batch_size=(stored.batch_size if batch_size is None
+                             else batch_size))
     return params, tc
 
 

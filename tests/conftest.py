@@ -1,8 +1,12 @@
 """Shared test helpers: finite-difference oracle, error metrics, a
-memory probe and the masked-LM loss as plain compositions."""
+memory probe, the masked-LM loss as plain compositions and a checkpoint
+manifest editor."""
 
 from __future__ import annotations
 
+import json
+import os
+import struct
 import tracemalloc
 from typing import Callable, Sequence
 
@@ -144,3 +148,27 @@ def mlm_head(tokens, cfg, params, rows=None, *, train=False, rng=None):
         h = T.embedding(h, rows)
     return T.layer_norm(T.gelu(T.matmul(h, emb.head_transform)),
                         emb.head_ln_gain, emb.head_ln_bias)
+
+
+# A checkpoint file's header: magic, u32 format version, u64 manifest
+# length.
+_CHECKPOINT_HEADER = struct.Struct("<4sIQ")
+
+
+def rewrite_manifest(directory, edit: Callable[[dict], object],
+                     version: int = 2):
+    """Apply `edit` to the manifest dict of the checkpoint in
+    `directory` and write the file back with format `version` in its
+    header. Returns the edited manifest and the buffer's bytes."""
+    path = os.path.join(directory, "state.bin")
+    with open(path, "rb") as f:
+        raw = f.read()
+    magic, _, length = _CHECKPOINT_HEADER.unpack_from(raw)
+    start = _CHECKPOINT_HEADER.size + length
+    manifest = json.loads(raw[_CHECKPOINT_HEADER.size:start])
+    edit(manifest)
+    body = json.dumps(manifest).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(_CHECKPOINT_HEADER.pack(magic, version, len(body)) + body
+                + raw[start:])
+    return manifest, raw[start:]

@@ -1,20 +1,22 @@
-"""Checkpoint files: manifest layout and bit-exact round-trips."""
+"""Checkpoint files: layout, bit-exact round-trips and crash safety."""
 
 import json
 import os
 
 import numpy as np
 import pytest
+from conftest import rewrite_manifest
 
+import gatedssm.checkpoint as checkpoint
 from gatedssm.checkpoint import (
-    BUFFER_NAME,
-    MANIFEST_NAME,
+    STATE_NAME,
     load_checkpoint,
     load_into,
     save_checkpoint,
 )
 from gatedssm.model import ModelConfig, init_model
 from gatedssm.numerics import Rng
+from gatedssm.pretrain import TrainConfig, train_mlm
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -37,10 +39,9 @@ def test_buffer_is_little_endian_concatenation(tmp_path):
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([[4.0], [5.0]])
     save_checkpoint(str(tmp_path), [("a", a), ("b", b)])
-    raw = (tmp_path / BUFFER_NAME).read_bytes()
+    manifest, raw = rewrite_manifest(tmp_path, lambda doc: None)
     want = a.astype("<f8").tobytes() + b.astype("<f8").tobytes()
     assert raw == want
-    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     offsets = {e["name"]: e["offset"] for e in manifest["entries"]}
     assert offsets == {"a": 0, "b": 24}
     shapes = {e["name"]: e["shape"] for e in manifest["entries"]}
@@ -63,7 +64,7 @@ def test_buffer_bytes_for_mixed_layouts(tmp_path):
     save_checkpoint(str(tmp_path), entries)
     want = b"".join(np.asarray(a).astype("<f8").tobytes()
                     for _, a in entries)
-    assert (tmp_path / BUFFER_NAME).read_bytes() == want
+    assert (tmp_path / STATE_NAME).read_bytes().endswith(want)
     loaded, _ = load_checkpoint(str(tmp_path))
     for name, arr in entries:
         assert loaded[name].shape == arr.shape
@@ -78,26 +79,126 @@ def test_rejects_duplicate_names(tmp_path):
 
 def test_rejects_truncated_buffer(tmp_path):
     save_checkpoint(str(tmp_path), [("x", np.zeros(8))])
-    buf = tmp_path / BUFFER_NAME
-    buf.write_bytes(buf.read_bytes()[:-8])
+    state = tmp_path / STATE_NAME
+    state.write_bytes(state.read_bytes()[:-8])
     with pytest.raises(ValueError, match="bytes"):
         load_checkpoint(str(tmp_path))
 
 
 def test_rejects_unknown_version(tmp_path):
     save_checkpoint(str(tmp_path), [("x", np.zeros(2))])
-    man = tmp_path / MANIFEST_NAME
-    doc = json.loads(man.read_text())
-    doc["version"] = 999
-    man.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version"):
+    rewrite_manifest(tmp_path, lambda doc: None, version=999)
+    with pytest.raises(ValueError, match="^unsupported checkpoint version "
+                                         "999$"):
+        load_checkpoint(str(tmp_path))
+
+
+def test_refuses_a_version_1_directory(tmp_path):
+    # Version 1 kept the manifest beside a separate params.bin.
+    (tmp_path / "manifest.json").write_text(json.dumps({"version": 1}))
+    (tmp_path / "params.bin").write_bytes(bytes(8))
+    with pytest.raises(ValueError, match=(
+            f"^{tmp_path} holds a version 1 checkpoint; this program "
+            f"reads only version 2$")):
         load_checkpoint(str(tmp_path))
 
 
 def test_no_tmp_files_left_behind(tmp_path):
     save_checkpoint(str(tmp_path), [("x", np.ones(4))], meta={})
-    assert sorted(os.listdir(tmp_path)) == sorted([BUFFER_NAME,
-                                                   MANIFEST_NAME])
+    assert os.listdir(tmp_path) == [STATE_NAME]
+
+
+def counted_replace(monkeypatch, fail_at=None):
+    """Record the destination of each os.replace call, and make call
+    number `fail_at` (from 0) raise without renaming anything."""
+    calls = []
+
+    def replace(src, dst, _real=os.replace):
+        calls.append(dst)
+        if len(calls) - 1 == fail_at:
+            raise OSError("injected rename failure")
+        _real(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "replace", replace)
+    return calls
+
+
+def test_a_save_is_one_file_and_one_rename(tmp_path, monkeypatch):
+    calls = counted_replace(monkeypatch)
+    save_checkpoint(str(tmp_path), [("x", np.ones(4)), ("y", np.ones(2))])
+    assert calls == [str(tmp_path / STATE_NAME)]
+
+
+def fail_writes_after_the_first(monkeypatch):
+    """Make every write to a file the checkpoint module opens fail after
+    the first, as when the disk fills while the buffer is written."""
+    def failing_open(*args, _real=open, **kwargs):
+        f = _real(*args, **kwargs)
+        real_write, writes = f.write, []
+
+        def write(data):
+            writes.append(len(data))
+            if len(writes) > 1:
+                raise OSError("injected write failure")
+            return real_write(data)
+
+        f.write = write
+        return f
+
+    monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+
+
+def save_bare(directory, seed):
+    rng = Rng(seed)
+    save_checkpoint(directory, [("a", rng.normal((3, 4))),
+                                ("b", rng.normal((5,)))],
+                    meta={"seed": seed})
+    return directory
+
+
+def save_periodic(directory, seed):
+    """Train 3 steps into the parent of `directory`, which is the
+    step-1 checkpoint."""
+    ids = Rng(seed).integers(0, 40, (8, 8))
+    cfg = ModelConfig(arch="gated", routing="ssm", n_layers=1, d_model=8,
+                      n_state=4, max_len=8, vocab_size=40, dropout=0.0)
+    tc = TrainConfig(steps=3, batch_size=2, seed=seed, checkpoint_every=1)
+    train_mlm(cfg, tc, ids, ids, os.path.dirname(directory))
+    return directory
+
+
+@pytest.mark.parametrize("fault", ["rename", "buffer-write"])
+@pytest.mark.parametrize("save", [save_bare, save_periodic],
+                         ids=["save_checkpoint", "train_mlm"])
+def test_failed_save_leaves_the_old_checkpoint(tmp_path, monkeypatch,
+                                               fault, save):
+    ckpt = str(tmp_path / "run" / "checkpoint-step-1")
+    state = tmp_path / "run" / "checkpoint-step-1" / STATE_NAME
+    save(ckpt, seed=1)
+    old_bytes = state.read_bytes()
+    old_entries, old_meta = load_checkpoint(ckpt)
+    if fault == "rename":
+        # Fail each rename a clean save makes, one save at a time.
+        with monkeypatch.context() as probe:
+            calls = counted_replace(probe)
+            save_bare(str(tmp_path / "probe"), seed=3)
+        points = range(len(calls))
+    else:
+        points = [None]
+    for point in points:
+        with monkeypatch.context() as m:
+            if fault == "rename":
+                counted_replace(m, fail_at=point)
+            else:
+                fail_writes_after_the_first(m)
+            with pytest.raises(OSError, match="injected"):
+                save(ckpt, seed=2)
+        entries, meta = load_checkpoint(ckpt)
+        assert meta == old_meta
+        assert entries.keys() == old_entries.keys()
+        for name, arr in entries.items():
+            assert arr.tobytes() == old_entries[name].tobytes(), name
+        assert state.read_bytes() == old_bytes
 
 
 def test_model_round_trip_restores_forward(tmp_path):
@@ -157,15 +258,20 @@ def test_load_into_strictness():
     ("c", {"offset": 64}, "entry 'c' starts at byte 64"),
     ("c", {"shape": [5], "size": 5}, "entry 'c' ends at byte 96"),
     ("c", {"shape": [3], "size": 3}, "last entry 'c'"),
+    ("b", {"shape": [-1], "size": -1},
+     r"entry 'b' has shape \[-1\]; each dimension must be an integer"),
+    ("c", {"name": "b"}, "duplicate checkpoint entry 'b'"),
 ], ids=["size-unlike-shape", "wrong-offset", "past-the-buffer",
-        "short-of-the-buffer"])
+        "short-of-the-buffer", "negative-size", "duplicate-name"])
 def test_rejects_manifest_that_does_not_tile_the_buffer(tmp_path, name,
                                                         fields, message):
     save_checkpoint(str(tmp_path), [("a", np.zeros(4)), ("b", np.ones(3)),
                                     ("c", np.ones((2, 2)))])
-    man = tmp_path / MANIFEST_NAME
-    doc = json.loads(man.read_text())
-    next(e for e in doc["entries"] if e["name"] == name).update(fields)
-    man.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=message):
+
+    def edit(doc):
+        next(e for e in doc["entries"] if e["name"] == name).update(fields)
+
+    rewrite_manifest(tmp_path, edit)
+    with pytest.raises(ValueError, match=message) as err:
         load_checkpoint(str(tmp_path))
+    assert "\n" not in str(err.value)

@@ -6,9 +6,10 @@ import shutil
 
 import numpy as np
 import pytest
+from conftest import rewrite_manifest
 
 from gatedssm import cli
-from gatedssm.checkpoint import MANIFEST_NAME, load_checkpoint, save_checkpoint
+from gatedssm.checkpoint import load_checkpoint, save_checkpoint
 from gatedssm.cli import main
 from gatedssm.model import ModelConfig, param_count
 from gatedssm.pretrain import (
@@ -278,8 +279,7 @@ def test_config_snapshot_replays_the_run(tmp_path, short_run):
                  *MODEL_FLAGS, *TRAIN_FLAGS]) == 0
     assert main(["train", data, "--config", str(run / "config.json"),
                  "--out", str(replay)]) == 0
-    for name in ("loss.csv", "eval.json", "checkpoint/params.bin",
-                 "checkpoint/manifest.json"):
+    for name in ("loss.csv", "eval.json", "checkpoint/state.bin"):
         assert (run / name).read_bytes() == (replay / name).read_bytes(), \
             name
 
@@ -304,7 +304,7 @@ def test_extend_config_snapshot_replays_the_run(tmp_path, short_run):
                  "--set", "train.peak_lr=3e-4"]) == 0
     assert main(["extend", ckpt, data64, "--config",
                  str(run / "config.json"), "--out", str(replay)]) == 0
-    for name in ("loss.csv", "checkpoint/params.bin"):
+    for name in ("loss.csv", "checkpoint/state.bin"):
         assert (run / name).read_bytes() == (replay / name).read_bytes(), \
             name
 
@@ -335,7 +335,7 @@ def test_unseeded_extend_config_snapshot_replays_the_run(tmp_path,
                  *EXTEND_FLAGS]) == 0
     assert main(["extend", ckpt, data64, "--config",
                  str(run / "config.json"), "--out", str(replay)]) == 0
-    for name in ("loss.csv", "checkpoint/params.bin"):
+    for name in ("loss.csv", "checkpoint/state.bin"):
         assert (run / name).read_bytes() == (replay / name).read_bytes(), \
             name
 
@@ -459,7 +459,12 @@ def test_eval_missing_checkpoint_fails(tmp_path, corpus, capsys):
     ("missing-entry",
      "checkpoint is missing entry 'adam_m.embeddings.token_table'"),
     ("unused-entry", "checkpoint has unused entries: ['stray']"),
-], ids=["no-run-meta", "missing-entry", "unused-entry"])
+    ("version-1", "{bad} holds a version 1 checkpoint; this program reads "
+                  "only version 2"),
+    ("negative-size", "checkpoint entry 'embeddings.token_table' has shape "
+                      "[-1]; each dimension must be an integer >= 0"),
+], ids=["no-run-meta", "missing-entry", "unused-entry", "version-1",
+        "negative-size"])
 def test_run_checkpoint_fault_is_one_plain_line(tmp_path, short_run, fault,
                                                 message, capsys):
     data, ckpt, _ = short_run
@@ -468,10 +473,19 @@ def test_run_checkpoint_fault_is_one_plain_line(tmp_path, short_run, fault,
         meta = None
     elif fault == "missing-entry":
         del entries["adam_m.embeddings.token_table"]
-    else:
+    elif fault == "unused-entry":
         entries["stray"] = np.zeros(2)
     bad = str(tmp_path / "bad")
-    save_checkpoint(bad, entries.items(), meta)
+    if fault == "version-1":
+        # Version 1 kept the manifest beside a separate params.bin.
+        os.makedirs(bad)
+        for name in ("manifest.json", "params.bin"):
+            open(os.path.join(bad, name), "wb").close()
+    else:
+        save_checkpoint(bad, entries.items(), meta)
+    if fault == "negative-size":
+        rewrite_manifest(bad, lambda doc: doc["entries"][0].update(
+            shape=[-1], size=-1))
     out = tmp_path / "out"
     assert main(["eval", bad, data, "--out", str(out)]) == 1
     assert not out.exists()
@@ -479,16 +493,15 @@ def test_run_checkpoint_fault_is_one_plain_line(tmp_path, short_run, fault,
 
 
 @pytest.mark.parametrize("key,entry", [
-    ("total_bytes", None), ("entries", None), ("name", 0), ("shape", 1),
+    ("entries", None), ("meta", None), ("name", 0), ("shape", 1),
     ("offset", 0), ("size", 2),
 ])
 def test_manifest_without_a_key_is_one_plain_line(tmp_path, short_run, key,
                                                   entry, capsys):
     bad = tmp_path / "bad"
     shutil.copytree(short_run[1], bad)
-    doc = json.loads((bad / MANIFEST_NAME).read_text())
-    del (doc if entry is None else doc["entries"][entry])[key]
-    (bad / MANIFEST_NAME).write_text(json.dumps(doc))
+    rewrite_manifest(bad, lambda doc: (
+        doc if entry is None else doc["entries"][entry]).pop(key))
     where = "" if entry is None else f" entry {entry}"
     out = tmp_path / "out"
     assert main(["dump-kernels", str(bad), "--out", str(out)]) == 1

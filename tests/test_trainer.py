@@ -17,7 +17,7 @@ from conftest import (
 
 import gatedssm.numerics.tensor as T
 import gatedssm.pretrain.trainer as trainer
-from gatedssm.checkpoint import load_checkpoint, save_checkpoint
+from gatedssm.checkpoint import STATE_NAME, load_checkpoint, save_checkpoint
 from gatedssm.model import ModelConfig, forward_mlm, init_model
 from gatedssm.numerics import Rng, backward, derive_seed, no_grad
 from gatedssm.pretrain import (
@@ -320,34 +320,17 @@ def test_final_checkpoint_reproduces_eval(tmp_path):
     assert ppl1 == pytest.approx(np.exp(loss1))
 
 
-def store_b(ckpt: str, b_re: float = 1.0) -> None:
-    """Rewrite a run checkpoint as it was written while SsmParams stored
-    the input matrix B: `b_re` and `b_im` entries after each SSM's `im`."""
+def store_config_key(ckpt: str, config: str, key: str, value) -> None:
+    """Rewrite a run checkpoint's `meta[config]` with `key` set to
+    `value`."""
     entries, meta = load_checkpoint(ckpt)
-    out = []
-    for name, arr in entries.items():
-        out.append((name, arr))
-        if ".ssm_" in name and name.endswith(".im") \
-                and not name.startswith("adam_"):
-            stem = name[:-len("im")]
-            out.append((stem + "b_re", np.full(arr.shape, b_re)))
-            out.append((stem + "b_im", np.zeros(arr.shape)))
-    save_checkpoint(ckpt, out, meta=meta)
-
-
-def store_model_config_key(ckpt: str, key: str = "use_bias",
-                           value=False) -> None:
-    """Rewrite a run checkpoint's `meta.model_config` with `key` set to
-    `value`; by default as it was written while ModelConfig had a
-    `use_bias` field, which every run left false."""
-    entries, meta = load_checkpoint(ckpt)
-    meta["model_config"][key] = value
+    meta[config][key] = value
     save_checkpoint(ckpt, entries.items(), meta=meta)
 
 
-def check_resume_is_bit_exact(tmp_path, edit_checkpoint=None):
-    """Train 10 steps, resume from the step-5 checkpoint (after
-    `edit_checkpoint` rewrites it), and compare the two runs."""
+def test_resume_is_bit_exact(tmp_path):
+    # Train 10 steps, resume from the step-5 checkpoint, and compare the
+    # two runs.
     ids, labels = toy_data(32, seed=6)
     cfg = toy_cfg()
     tc = TrainConfig(steps=10, batch_size=4, peak_lr=2e-3, seed=7,
@@ -357,8 +340,6 @@ def check_resume_is_bit_exact(tmp_path, edit_checkpoint=None):
     mid = os.path.join(full_dir, "checkpoint-step-5")
     assert os.path.isdir(mid)
     assert not os.path.isdir(os.path.join(full_dir, "checkpoint-step-10"))
-    if edit_checkpoint is not None:
-        edit_checkpoint(mid)
 
     params, optimizer, meta = load_run_checkpoint(mid)
     resumed_dir = str(tmp_path / "resumed")
@@ -368,132 +349,59 @@ def check_resume_is_bit_exact(tmp_path, edit_checkpoint=None):
                         params=params, optimizer=optimizer,
                         start_step=meta["step"])
     assert resumed == full[5:]
-    for name in ("params.bin", "manifest.json"):
-        a = open(os.path.join(full_dir, FINAL_CHECKPOINT, name),
-                 "rb").read()
-        b = open(os.path.join(resumed_dir, FINAL_CHECKPOINT, name),
-                 "rb").read()
-        assert a == b, name
-
-
-def test_resume_is_bit_exact(tmp_path):
-    check_resume_is_bit_exact(tmp_path)
-
-
-def test_resume_from_checkpoint_with_stored_b_is_bit_exact(tmp_path):
-    check_resume_is_bit_exact(tmp_path, store_b)
-
-
-def test_resume_from_checkpoint_with_use_bias_false_is_bit_exact(tmp_path):
-    check_resume_is_bit_exact(tmp_path, store_model_config_key)
-
-
-def store_retired_model_config_keys(ckpt: str) -> None:
-    """Rewrite a run checkpoint's `meta.model_config` as it was written
-    while ModelConfig still stored `intermediate`,
-    `use_position_embeddings`, `dt_min` and `dt_max`, at the values
-    every run used."""
-    store_model_config_key(ckpt, "intermediate", 3 * toy_cfg().d_model)
-    store_model_config_key(ckpt, "use_position_embeddings", False)
-    store_model_config_key(ckpt, "dt_min", 1e-3)
-    store_model_config_key(ckpt, "dt_max", 1e-1)
-
-
-def test_resume_from_checkpoint_with_retired_keys_is_bit_exact(tmp_path):
-    check_resume_is_bit_exact(tmp_path, store_retired_model_config_keys)
-
-
-def store_train_config_key(ckpt: str, key: str, value) -> None:
-    """Rewrite a run checkpoint's `meta.train_config` with `key` set to
-    `value`."""
-    entries, meta = load_checkpoint(ckpt)
-    meta["train_config"][key] = value
-    save_checkpoint(ckpt, entries.items(), meta=meta)
-
-
-def store_retired_train_config_keys(ckpt: str) -> None:
-    """Rewrite a run checkpoint's `meta.train_config` as it was written
-    while TrainConfig still had `weight_decay` and `clip_norm`, at the
-    values every run used."""
-    store_train_config_key(ckpt, "weight_decay", 0.01)
-    store_train_config_key(ckpt, "clip_norm", 0.0)
-    store_train_config_key(ckpt, "schedule", "cosine")
-
-
-def test_resume_from_checkpoint_with_retired_train_keys_is_bit_exact(
-        tmp_path):
-    check_resume_is_bit_exact(tmp_path, store_retired_train_config_keys)
+    a = open(os.path.join(full_dir, FINAL_CHECKPOINT, STATE_NAME),
+             "rb").read()
+    b = open(os.path.join(resumed_dir, FINAL_CHECKPOINT, STATE_NAME),
+             "rb").read()
+    assert a == b
 
 
 @pytest.mark.parametrize("key,value", [("clip_norm", 1.0),
                                        ("weight_decay", 0.05)])
 def test_load_run_checkpoint_refuses_another_optimizer_recipe(tmp_path, key,
                                                               value):
+    # TrainConfig had these fields while AdamW took options.
     ckpt = checkpointed_toy_run(tmp_path)
-    store_retired_train_config_keys(ckpt)
-    store_train_config_key(ckpt, key, value)
+    store_config_key(ckpt, "train_config", key, value)
     with pytest.raises(ValueError, match=(
-            rf"^checkpoint train_config key '{key}' is {value}; "
-            rf"training now takes")) as err:
+            rf"^checkpoint train_config has unknown key '{key}'$")) as err:
         load_run_checkpoint(ckpt)
     assert "\n" not in str(err.value)
 
 
-def test_continue_pretrain_of_checkpoint_with_retired_train_keys(tmp_path):
-    ckpt = checkpointed_toy_run(tmp_path)
-    long_ids, long_labels = toy_data(16, seq_len=16, seed=11)
-    want, _ = continue_pretrain(ckpt, 16, long_ids, long_labels, steps=2,
-                                lr=1e-4, out_dir=str(tmp_path / "a"))
-    store_retired_train_config_keys(ckpt)
-    got, _ = continue_pretrain(ckpt, 16, long_ids, long_labels, steps=2,
-                               lr=1e-4, out_dir=str(tmp_path / "b"))
-    assert got == want
-    for name in ("params.bin", "manifest.json"):
-        a = (tmp_path / "a" / FINAL_CHECKPOINT / name).read_bytes()
-        b = (tmp_path / "b" / FINAL_CHECKPOINT / name).read_bytes()
-        assert a == b, name
-
-
-def test_load_run_checkpoint_ignores_stored_dt_range(tmp_path):
-    ckpt = checkpointed_toy_run(tmp_path)
-    want, _, _ = load_run_checkpoint(ckpt)
-    store_model_config_key(ckpt, "dt_min", 0.05)
-    store_model_config_key(ckpt, "dt_max", 0.5)
-    params, _, meta = load_run_checkpoint(ckpt)
-    assert params.config == want.config
-    assert "dt_min" not in meta["model_config"]
-    for (_, a), (_, b) in zip(want.named_parameters(),
-                              params.named_parameters()):
-        assert np.array_equal(a.data, b.data)
-
-
-@pytest.mark.parametrize("key,value,message", [
-    ("use_bias", True, r"^checkpoint model_config key 'use_bias' is True"),
-    ("intermediate", 64,
-     r"^checkpoint model_config key 'intermediate' is 64; "
-     r"this model takes 96$"),
-    ("use_position_embeddings", True,
-     r"^checkpoint model_config key 'use_position_embeddings' is True; "
-     r"this model takes False$"),
-    ("bogus", 1, r"^checkpoint model_config has unknown key 'bogus'$"),
+# The first three keys are fields that ModelConfig once had.
+@pytest.mark.parametrize("key,value", [
+    ("use_bias", True), ("intermediate", 64),
+    ("use_position_embeddings", True), ("bogus", 1),
 ], ids=["use-bias-true", "intermediate-mismatch",
         "ssm-with-position-embeddings", "unknown-key"])
-def test_load_run_checkpoint_refuses_model_config_key(tmp_path, key, value,
-                                                      message):
+def test_load_run_checkpoint_refuses_model_config_key(tmp_path, key, value):
     ckpt = checkpointed_toy_run(tmp_path)
-    store_model_config_key(ckpt, key, value)
-    with pytest.raises(ValueError, match=message) as err:
+    store_config_key(ckpt, "model_config", key, value)
+    with pytest.raises(ValueError, match=(
+            rf"^checkpoint model_config has unknown key '{key}'$")) as err:
         load_run_checkpoint(ckpt)
     assert "\n" not in str(err.value)
 
 
-def test_load_run_checkpoint_rejects_stored_b_other_than_one(tmp_path):
+@pytest.mark.parametrize("config,key,message", [
+    ("train_config", None,
+     "{ckpt} is not a run checkpoint: its meta has no train_config"),
+    ("model_config", "d_model", "checkpoint model_config lacks 'd_model'"),
+    ("train_config", "seed", "checkpoint train_config lacks 'seed'"),
+])
+def test_load_run_checkpoint_refuses_an_incomplete_run_meta(tmp_path, config,
+                                                            key, message):
     ckpt = checkpointed_toy_run(tmp_path)
-    store_b(ckpt, b_re=0.5)
-    with pytest.raises(ValueError,
-                       match=r"'blocks\.0\.ssm_fwd\.b_re'") as err:
+    entries, meta = load_checkpoint(ckpt)
+    if key is None:
+        del meta[config]
+    else:
+        del meta[config][key]
+    save_checkpoint(ckpt, entries.items(), meta=meta)
+    with pytest.raises(ValueError, match=re.escape(message.format(ckpt=ckpt))
+                       + "$"):
         load_run_checkpoint(ckpt)
-    assert "\n" not in str(err.value)
 
 
 def test_resume_into_same_dir_keeps_loss_csv_identical(tmp_path):
